@@ -7,13 +7,10 @@ the PCA fit are what every experiment's wall time is made of.
 The scheduling guards at the bottom pin the single-timer completion
 scheme's asymptotics (DESIGN.md §6): heap insertions per completed query
 must stay O(1) amortized, and a simulated hour must stay cheap in wall
-time.  Results land in ``BENCH_kernel.json`` at the repo root so the perf
-trajectory is tracked across PRs.
+time.  The tracked end-to-end numbers come from ``benchmarks/e2e/``.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -24,22 +21,8 @@ from repro.cluster.resource_model import (
     SensitivityVector,
 )
 from repro.core.monitor import pcr_fit
-from repro.core.queueing import max_arrival_rate
 from repro.sim.environment import Environment
-
-_BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
-
-
-def _record(**metrics: float) -> None:
-    """Merge metrics into BENCH_kernel.json (one file across all guards)."""
-    data = {}
-    if _BENCH_JSON.exists():
-        try:
-            data = json.loads(_BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data.update({k: round(v, 4) for k, v in metrics.items()})
-    _BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+from repro.sim.queueing import max_arrival_rate
 
 
 def test_event_loop_throughput(benchmark):
@@ -139,10 +122,6 @@ def test_record_completion_throughput(benchmark):
     metrics = benchmark(run)
     assert metrics.completed == len(queries)
     assert metrics.served_by["iaas"] + metrics.served_by["serverless"] == len(queries)
-    t0 = time.perf_counter()
-    run()
-    per_query_us = (time.perf_counter() - t0) / len(queries) * 1e6
-    _record(record_completion_us=per_query_us)
 
 
 def test_full_mixed_platform_minute(benchmark):
@@ -205,7 +184,7 @@ def test_heap_entries_per_query_o1_amortized():
     events plus ~2 completion-timer arms).  The bound has headroom but
     would catch any return to per-execution rescheduling.
     """
-    env, machine, completed, wall = _loaded_platform_hour()
+    env, machine, completed, _wall = _loaded_platform_hour()
     assert completed > 50_000  # the scenario really is loaded
     entries_per_query = env.scheduled_total / completed
     arms_per_completion = machine.timer_arms / machine.completed
@@ -213,19 +192,13 @@ def test_heap_entries_per_query_o1_amortized():
     assert arms_per_completion < 3.0
     # dead entries never dominate the heap (compaction invariant)
     assert env.heap_size <= 2 * max(env.live_size, env._COMPACT_MIN)
-    _record(
-        heap_entries_per_query=entries_per_query,
-        timer_arms_per_completion=arms_per_completion,
-        completed_queries=float(completed),
-        wall_s_per_sim_hour=wall,
-    )
 
 
 def test_wall_time_per_simulated_hour(benchmark):
     """One simulated hour of the loaded platform, under the benchmark clock.
 
     The absolute ceiling is deliberately loose (CI machines vary wildly);
-    BENCH_kernel.json carries the precise number across PRs.
+    ``benchmarks/e2e/`` tracks the precise wall-time trajectory.
     """
 
     def run():
@@ -235,4 +208,3 @@ def test_wall_time_per_simulated_hour(benchmark):
     completed, wall = benchmark.pedantic(run, rounds=1, iterations=1)
     assert completed > 50_000
     assert wall < 90.0
-    _record(wall_s_per_sim_hour=wall)

@@ -14,20 +14,14 @@ figure regenerator reduces to.  Three measured legs:
 
 All three legs must agree ``float.hex``-for-hex — the guard would catch
 a merge-order or cache-serialization bug before any figure does.
-Numbers land in ``BENCH_sweep.json`` at the repo root so the perf
-trajectory is tracked across PRs.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.experiments.cache import RunCache
 from repro.experiments.chaos import chaos_sweep
 from repro.experiments.overload import overload_sweep
-
-_BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
 _DAY = 300.0
 _SCALES = (0.0, 0.5, 1.0, 2.0)
@@ -84,21 +78,3 @@ def test_sweep_parallel_and_cache_speedup(tmp_path):
         assert parallel_speedup >= 2.0, (
             f"workers=4 only {parallel_speedup:.2f}x over serial on {usable_cores} cores"
         )
-
-    _BENCH_JSON.write_text(
-        json.dumps(
-            {
-                "day": _DAY,
-                "runs": _RUNS,
-                "usable_cores": usable_cores,
-                "serial_s": round(serial_s, 4),
-                "parallel_cold_s": round(parallel_s, 4),
-                "warm_replay_s": round(warm_s, 4),
-                "parallel_speedup": round(parallel_speedup, 4),
-                "warm_speedup": round(warm_speedup, 4),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )

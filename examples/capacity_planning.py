@@ -11,7 +11,7 @@ Run:  python examples/capacity_planning.py
 """
 
 from repro.core.meters import expected_platform_overhead
-from repro.core.queueing import max_arrival_rate, min_servers
+from repro.sim.queueing import max_arrival_rate, min_servers
 from repro.iaas.sizing import size_service
 from repro.serverless.config import ServerlessConfig
 from repro.workloads import benchmark, benchmark_names

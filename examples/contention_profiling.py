@@ -16,7 +16,7 @@ from repro.core.config import AmoebaConfig
 from repro.core.meters import AXIS_METERS, profile_meter
 from repro.core.monitor import ContentionMonitor
 from repro.core.mu_model import NOM_WEIGHTS, mu_value
-from repro.core.queueing import max_arrival_rate
+from repro.sim.queueing import max_arrival_rate
 from repro.core.surfaces import build_surface_set
 from repro.serverless.platform import ServerlessPlatform
 from repro.sim.environment import Environment

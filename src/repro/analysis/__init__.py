@@ -17,16 +17,16 @@ the Python AST, organised as a whole-program framework:
   resolved import graph: layering direction, cycle detection, kernel
   isolation from ``experiments``, and facade enforcement (``model`` +
   ``graph`` + ``rules_arch``);
-* an incremental engine (``engine``) with a content-hash cache, process
-  fan-out, a committed-baseline ratchet (``baseline``) and text/json/
-  SARIF 2.1.0 output (``sarif``);
-* ``python -m repro.analysis.lint src tests benchmarks`` lints the repo
-  and exits non-zero on any non-baselined violation;
+* one straight pass (``engine``): discover files, run the per-file
+  rules, then the ARCH pass, then the SIM016 audit;
+* ``python -m repro.analysis.lint src tests benchmarks`` lints the repo,
+  prints one line per finding and exits non-zero on any finding;
 * each rule carries a fix-it message and traces back to the invariant it
   protects (see ``engine.ALL_RULES`` and DESIGN.md §7/§12);
-* an intentional violation is silenced inline with
+* an intentional SIM violation is silenced inline with
   ``# simlint: ignore[SIM00x]`` plus a one-line justification (anchored
-  to the enclosing statement); ARCH findings are baseline-only.
+  to the enclosing statement); ARCH findings have no escape hatch, so
+  the only fix is the import itself.
 
 The linter is self-hosted: it depends only on the standard library, so it
 runs anywhere the repo runs (CI, the ``scripts/check.sh`` gate, editors).

@@ -1,46 +1,35 @@
-"""The incremental whole-program lint engine.
+"""The whole-program lint engine: one straight pass.
 
-Orchestrates everything the CLI exposes:
+:func:`run_engine` runs four steps in order:
 
 * **Discovery** — ``os.walk``-style traversal with real directory
-  pruning (the old ``rglob`` filter skipped matching *files* but still
-  descended into skipped trees), deterministic ordering, and per-file
-  scope assignment: files under ``tests/``/``benchmarks/`` get the
-  relaxed TEST scope, everything else (and every explicitly named file)
-  the full KERNEL scope.
-* **Per-file analysis** — the legacy :class:`InvariantVisitor` rules
-  plus the :mod:`repro.analysis.rules_flow` dataflow pass, with inline
+  pruning, deterministic ordering, and per-file scope assignment: files
+  under ``tests/``/``benchmarks/`` get the relaxed TEST scope, everything
+  else (and every explicitly named file) the full KERNEL scope.
+* **Per-file analysis** — the :class:`InvariantVisitor` rules plus the
+  :mod:`repro.analysis.rules_flow` dataflow pass, with inline
   ``# simlint: ignore[...]`` suppression anchored to *statement spans*
   (a directive on a ``def`` line silences a violation reported on its
   decorator, and a directive on any line of a multi-line statement
   covers the whole statement).
 * **Whole-program pass** — the module table feeds the ARCH layering
-  rules (:mod:`repro.analysis.rules_arch`); ARCH findings are not
-  inline-suppressible (use the baseline for accepted exceptions).
-* **Incremental cache** — per-file results keyed by content sha256 and
-  a salt over the analyzer's own sources (same pattern as
-  ``repro.experiments.cache``): a warm re-lint of an unchanged tree
-  re-parses nothing, including the ARCH pass, which rebuilds from
-  cached import records.
-* **SIM016** — directives that suppressed nothing become stale-ignore
-  warnings (errors under ``--strict-ignores``).
+  rules (:mod:`repro.analysis.rules_arch`).  ARCH findings cannot be
+  suppressed: the only fix is the import itself.
+* **SIM016** — directives that suppressed nothing are stale-ignore
+  errors.
 """
 
 from __future__ import annotations
 
 import ast
-import concurrent.futures
-import hashlib
 import io
-import json
 import os
 import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.baseline import BaselineEntry, apply_baseline
 from repro.analysis.model import ModuleRecord, collect_imports, module_exports, module_name
 from repro.analysis.rules import RULES, InvariantVisitor, Rule, Violation
 from repro.analysis.rules_arch import ARCH_RULES, check_architecture, prove_acyclic
@@ -97,8 +86,6 @@ STALE_IGNORE_RULE = Rule(
 #: every rule the engine can emit, in report order
 ALL_RULES: Tuple[Rule, ...] = RULES + FLOW_RULES + (STALE_IGNORE_RULE,) + ARCH_RULES
 
-_CACHE_VERSION = 2
-
 #: compound statements whose suppression span is the *header* only
 #: (directive on the def/if line must not blanket the whole body)
 _COMPOUND_STMTS = (
@@ -125,14 +112,6 @@ class Directive:
     ids: Optional[Tuple[str, ...]]
     used: bool = False
 
-    def to_json(self) -> List[Any]:
-        return [self.line, self.col, list(self.ids) if self.ids is not None else None, self.used]
-
-    @staticmethod
-    def from_json(data: Sequence[Any]) -> "Directive":
-        line, col, ids, used = data
-        return Directive(int(line), int(col), tuple(ids) if ids is not None else None, bool(used))
-
 
 @dataclass
 class FileAnalysis:
@@ -141,36 +120,8 @@ class FileAnalysis:
     path: str
     violations: List[Violation] = field(default_factory=list)
     directives: List[Directive] = field(default_factory=list)
-    #: suppressed finding counts per rule (for the stats table)
-    suppressed: Dict[str, int] = field(default_factory=dict)
     module: Optional[ModuleRecord] = None
     broken: Optional[str] = None
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "violations": [
-                [v.line, v.col, v.rule_id, v.message] for v in self.violations
-            ],
-            "directives": [d.to_json() for d in self.directives],
-            "suppressed": self.suppressed,
-            "module": self.module.to_json() if self.module is not None else None,
-            "broken": self.broken,
-        }
-
-    @staticmethod
-    def from_json(path: str, data: Dict[str, Any]) -> "FileAnalysis":
-        module = data.get("module")
-        return FileAnalysis(
-            path=path,
-            violations=[
-                Violation(path=path, line=int(line), col=int(col), rule_id=str(rule), message=str(msg))
-                for line, col, rule, msg in data.get("violations", ())
-            ],
-            directives=[Directive.from_json(d) for d in data.get("directives", ())],
-            suppressed={str(k): int(v) for k, v in data.get("suppressed", {}).items()},
-            module=ModuleRecord.from_json(path, module) if module is not None else None,
-            broken=data.get("broken"),
-        )
 
 
 # -- discovery ---------------------------------------------------------------
@@ -289,9 +240,9 @@ def _apply_suppression(
     violations: List[Violation],
     directives: List[Directive],
     spans: Sequence[Tuple[int, int]],
-) -> Tuple[List[Violation], Dict[str, int]]:
+) -> List[Violation]:
+    """The violations no directive covers; marks the directives that hit."""
     kept: List[Violation] = []
-    suppressed: Dict[str, int] = {}
     by_line: Dict[int, List[Directive]] = {}
     for directive in directives:
         by_line.setdefault(directive.line, []).append(directive)
@@ -307,10 +258,9 @@ def _apply_suppression(
                 break
         if hit is not None:
             hit.used = True
-            suppressed[violation.rule_id] = suppressed.get(violation.rule_id, 0) + 1
         else:
             kept.append(violation)
-    return kept, suppressed
+    return kept
 
 
 # -- per-file analysis -------------------------------------------------------
@@ -321,15 +271,9 @@ def analyze_source(
     path: str,
     *,
     scope: str = SCOPE_KERNEL,
-    legacy_only: bool = False,
     fs_path: Optional[Path] = None,
 ) -> FileAnalysis:
-    """Run every per-file pass over one module's source text.
-
-    ``legacy_only`` restricts to the SIM001-SIM011 visitor — that is the
-    byte-compatibility surface of :func:`repro.analysis.lint.lint_source`
-    (the fixture corpus pins it).  The engine always runs the full set.
-    """
+    """Run every per-file pass over one module's source text."""
     analysis = FileAnalysis(path=path)
     try:
         tree = ast.parse(source, filename=path)
@@ -340,83 +284,60 @@ def analyze_source(
     visitor = InvariantVisitor(path)
     visitor.visit(tree)
     violations = list(visitor.violations)
-    if not legacy_only and scope == SCOPE_KERNEL:
+    if scope == SCOPE_KERNEL:
         flow = FlowVisitor(path)
         flow.visit(tree)
         violations.extend(flow.violations)
-    if scope == SCOPE_TEST:
+    else:
         violations = [v for v in violations if v.rule_id in _TEST_SCOPE_RULES]
     violations.sort(key=lambda v: (v.line, v.col, v.rule_id))
 
-    directives = _collect_directives(source)
-    spans = _statement_spans(tree)
-    analysis.violations, analysis.suppressed = _apply_suppression(violations, directives, spans)
-    analysis.directives = directives
+    analysis.directives = _collect_directives(source)
+    analysis.violations = _apply_suppression(
+        violations, analysis.directives, _statement_spans(tree)
+    )
 
-    if not legacy_only:
-        resolve_from = fs_path if fs_path is not None else Path(path)
-        is_init = resolve_from.name == "__init__.py"
-        dotted = module_name(resolve_from) if resolve_from.exists() else None
-        analysis.module = ModuleRecord(
-            path=path,
-            module=dotted,
-            imports=collect_imports(tree, dotted, is_init),
-            exports=module_exports(tree) if is_init else None,
-            is_init=is_init,
-        )
+    resolve_from = fs_path if fs_path is not None else Path(path)
+    is_init = resolve_from.name == "__init__.py"
+    dotted = module_name(resolve_from) if resolve_from.exists() else None
+    analysis.module = ModuleRecord(
+        path=path,
+        module=dotted,
+        imports=collect_imports(tree, dotted, is_init),
+        exports=module_exports(tree) if is_init else None,
+        is_init=is_init,
+    )
     return analysis
 
 
-def _analyze_file(args: Tuple[str, str]) -> Tuple[str, str, Dict[str, Any]]:
-    """Worker for the process-pool fan-out; returns cacheable JSON."""
-    path_str, scope = args
-    path = Path(path_str)
+def _analyze_file(path: Path, scope: str) -> FileAnalysis:
     try:
         source = path.read_text(encoding="utf-8")
     except OSError as exc:
-        broken = FileAnalysis(path=path_str, broken=f"{path_str}:1:0: cannot read: {exc}")
-        return path_str, "", broken.to_json()
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    analysis = analyze_source(source, path_str, scope=scope, fs_path=path)
-    return path_str, digest, analysis.to_json()
+        return FileAnalysis(path=str(path), broken=f"{path}:1:0: cannot read: {exc}")
+    return analyze_source(source, str(path), scope=scope, fs_path=path)
 
 
-# -- cache -------------------------------------------------------------------
-
-
-def _analysis_salt() -> str:
-    """sha256 over the analyzer's own sources: new rules bust the cache."""
-    digest = hashlib.sha256()
-    package_dir = Path(__file__).parent
-    for source in sorted(package_dir.glob("*.py")):
-        digest.update(source.name.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(source.read_bytes())
-        digest.update(b"\x00")
-    return digest.hexdigest()
-
-
-def _load_cache(cache_path: Path, salt: str) -> Dict[str, Any]:
-    try:
-        data = json.loads(cache_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return {}
-    if not isinstance(data, dict) or data.get("version") != _CACHE_VERSION:
-        return {}
-    if data.get("salt") != salt:
-        return {}
-    files = data.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _save_cache(cache_path: Path, salt: str, files: Dict[str, Any]) -> None:
-    payload = {"version": _CACHE_VERSION, "salt": salt, "files": files}
-    tmp = cache_path.with_name(cache_path.name + ".tmp")
-    try:
-        tmp.write_text(json.dumps(payload), encoding="utf-8")
-        os.replace(tmp, cache_path)
-    except OSError:
-        tmp.unlink(missing_ok=True)
+def _stale_ignores(analysis: FileAnalysis) -> List[Violation]:
+    stale: List[Violation] = []
+    for directive in analysis.directives:
+        if directive.used:
+            continue
+        listed = f"[{', '.join(directive.ids)}]" if directive.ids is not None else ""
+        stale.append(
+            Violation(
+                path=analysis.path,
+                line=directive.line,
+                col=directive.col,
+                rule_id="SIM016",
+                message=(
+                    f"stale directive 'simlint: ignore{listed}' suppresses "
+                    "nothing on this statement; delete it so it cannot "
+                    "mask the next real finding"
+                ),
+            )
+        )
+    return stale
 
 
 # -- the engine --------------------------------------------------------------
@@ -427,138 +348,32 @@ class Report:
     """One engine run's complete outcome."""
 
     errors: List[Violation] = field(default_factory=list)
-    warnings: List[Violation] = field(default_factory=list)
-    baselined: List[Violation] = field(default_factory=list)
-    stale_baseline: List[str] = field(default_factory=list)
+    #: files that could not be read or parsed (exit code 2)
     broken: List[str] = field(default_factory=list)
-    #: per-rule {"errors": n, "warnings": n, "baselined": n, "suppressed": n}
-    stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    files_analyzed: int = 0
-    files_reused: int = 0
     #: the acyclicity proof: packages in dependency order (None = cycle)
     package_order: Optional[List[str]] = None
 
-    @property
-    def exit_code(self) -> int:
-        if self.broken:
-            return 2
-        return 1 if self.errors else 0
 
-    def _bump(self, rule_id: str, bucket: str, amount: int = 1) -> None:
-        row = self.stats.setdefault(
-            rule_id, {"errors": 0, "warnings": 0, "baselined": 0, "suppressed": 0}
-        )
-        row[bucket] += amount
-
-
-def run_engine(
-    paths: Sequence[Path],
-    *,
-    cache_path: Optional[Path] = None,
-    jobs: int = 1,
-    strict_ignores: bool = False,
-    baseline: Optional[Dict[Tuple[str, str], BaselineEntry]] = None,
-) -> Report:
+def run_engine(paths: Sequence[Path]) -> Report:
     """Lint ``paths`` end to end; the CLI renders the returned report."""
     report = Report()
-    targets = list(iter_python_files(paths))
-
-    salt = _analysis_salt()
-    cached = _load_cache(cache_path, salt) if cache_path is not None else {}
-    fresh_cache: Dict[str, Any] = {}
-    analyses: Dict[str, FileAnalysis] = {}
-    pending: List[Tuple[str, str]] = []
-
-    for file_path, scope in targets:
-        key = str(file_path)
-        entry = cached.get(key)
-        digest: Optional[str] = None
-        if entry is not None and entry.get("scope") == scope:
-            try:
-                source_bytes = file_path.read_bytes()
-            except OSError:
-                source_bytes = None
-            if source_bytes is not None:
-                digest = hashlib.sha256(source_bytes).hexdigest()
-                if digest == entry.get("hash"):
-                    analyses[key] = FileAnalysis.from_json(key, entry["analysis"])
-                    fresh_cache[key] = entry
-                    report.files_reused += 1
-                    continue
-        pending.append((key, scope))
-
-    if pending:
-        if jobs > 1 and len(pending) > 4:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_analyze_file, pending, chunksize=8))
-        else:
-            results = [_analyze_file(item) for item in pending]
-        scope_of = dict(pending)
-        for key, digest_str, payload in results:
-            analyses[key] = FileAnalysis.from_json(key, payload)
-            report.files_analyzed += 1
-            if digest_str:
-                fresh_cache[key] = {
-                    "hash": digest_str,
-                    "scope": scope_of[key],
-                    "analysis": payload,
-                }
-
-    # deterministic order for everything downstream
-    ordered = [analyses[key] for key, _ in ((str(p), s) for p, s in targets)]
-
-    violations: List[Violation] = []
-    for analysis in ordered:
+    analyses: List[FileAnalysis] = []
+    for file_path, scope in iter_python_files(paths):
+        analysis = _analyze_file(file_path, scope)
         if analysis.broken is not None:
             report.broken.append(analysis.broken)
-            continue
-        violations.extend(analysis.violations)
-        for rule_id, count in analysis.suppressed.items():
-            report._bump(rule_id, "suppressed", count)
+        else:
+            analyses.append(analysis)
 
-    # whole-program ARCH pass from the (possibly cached) module table
-    modules = [a.module for a in ordered if a.module is not None and a.broken is None]
+    violations: List[Violation] = []
+    for analysis in analyses:
+        violations.extend(analysis.violations)
+        violations.extend(_stale_ignores(analysis))
+
+    modules = [a.module for a in analyses if a.module is not None]
     violations.extend(check_architecture(modules))
     report.package_order = prove_acyclic(modules)
 
-    # SIM016: directives that suppressed nothing
-    stale: List[Violation] = []
-    for analysis in ordered:
-        if analysis.broken is not None:
-            continue
-        for directive in analysis.directives:
-            if not directive.used:
-                listed = f"[{', '.join(directive.ids)}]" if directive.ids is not None else ""
-                stale.append(
-                    Violation(
-                        path=analysis.path,
-                        line=directive.line,
-                        col=directive.col,
-                        rule_id="SIM016",
-                        message=(
-                            f"stale directive 'simlint: ignore{listed}' suppresses "
-                            "nothing on this statement; delete it so it cannot "
-                            "mask the next real finding"
-                        ),
-                    )
-                )
-    if strict_ignores:
-        violations.extend(stale)
-    else:
-        report.warnings.extend(stale)
-
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
-    report.errors, report.baselined, report.stale_baseline = apply_baseline(
-        violations, baseline or {}
-    )
-
-    for violation in report.errors:
-        report._bump(violation.rule_id, "errors")
-    for violation in report.warnings:
-        report._bump(violation.rule_id, "warnings")
-    for violation in report.baselined:
-        report._bump(violation.rule_id, "baselined")
-
-    if cache_path is not None:
-        _save_cache(cache_path, salt, fresh_cache)
+    report.errors = violations
     return report

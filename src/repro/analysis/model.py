@@ -8,18 +8,15 @@ imports* (with relative imports resolved against that name).  This
 module builds that table; :mod:`repro.analysis.graph` condenses it to a
 package-level digraph and :mod:`repro.analysis.rules_arch` judges it.
 
-Everything here is pure data — records are plain tuples/dataclasses so
-the incremental cache (:mod:`repro.analysis.engine`) can serialize them
-and rebuild the whole-program model on a warm run without re-parsing a
-single unchanged file.
+Everything here is pure data: records are frozen dataclasses.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 __all__ = [
     "ImportRecord",
@@ -50,18 +47,10 @@ class ImportRecord:
     col: int
     toplevel: bool
 
-    def to_json(self) -> List[Any]:
-        return [self.module, list(self.names), self.line, self.col, self.toplevel]
-
-    @staticmethod
-    def from_json(data: Sequence[Any]) -> "ImportRecord":
-        module, names, line, col, toplevel = data
-        return ImportRecord(str(module), tuple(names), int(line), int(col), bool(toplevel))
-
 
 @dataclass(frozen=True)
 class ModuleRecord:
-    """One analyzed file's identity and imports, as cacheable data."""
+    """One analyzed file's identity and imports."""
 
     #: path as reported in findings (relative to the lint invocation)
     path: str
@@ -70,34 +59,7 @@ class ModuleRecord:
     imports: Tuple[ImportRecord, ...] = ()
     #: the module's ``__all__`` (facade surface), when statically visible
     exports: Optional[Tuple[str, ...]] = None
-    is_init: bool = field(default=False)
-
-    @property
-    def package_parts(self) -> Tuple[str, ...]:
-        """Dotted-name parts of the *package* this module lives in."""
-        if self.module is None:
-            return ()
-        parts = tuple(self.module.split("."))
-        return parts if self.is_init else parts[:-1]
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "module": self.module,
-            "imports": [record.to_json() for record in self.imports],
-            "exports": list(self.exports) if self.exports is not None else None,
-            "is_init": self.is_init,
-        }
-
-    @staticmethod
-    def from_json(path: str, data: Dict[str, Any]) -> "ModuleRecord":
-        exports = data.get("exports")
-        return ModuleRecord(
-            path=path,
-            module=data.get("module"),
-            imports=tuple(ImportRecord.from_json(r) for r in data.get("imports", ())),
-            exports=tuple(exports) if exports is not None else None,
-            is_init=bool(data.get("is_init", False)),
-        )
+    is_init: bool = False
 
 
 def module_name(path: Path) -> Optional[str]:

@@ -24,7 +24,7 @@ from repro.analysis.graph import cycles, topological_order
 from repro.analysis.model import ImportRecord, ModuleRecord
 from repro.analysis.rules import Rule, Violation
 
-__all__ = ["ARCH_RULES", "ARCH_RULE_IDS", "LAYERS", "check_architecture", "prove_acyclic"]
+__all__ = ["ARCH_RULES", "LAYERS", "check_architecture", "prove_acyclic"]
 
 ARCH_RULES: Tuple[Rule, ...] = (
     Rule(
@@ -62,8 +62,6 @@ ARCH_RULES: Tuple[Rule, ...] = (
         "legal to deep-import)",
     ),
 )
-
-ARCH_RULE_IDS: Set[str] = {rule.id for rule in ARCH_RULES}
 
 #: the analyzed root package
 ROOT = "repro"

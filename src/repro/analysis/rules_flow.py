@@ -28,7 +28,7 @@ per-site SIM002 check structurally cannot:
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.dataflow import ScopeTracker
 from repro.analysis.rules import (
@@ -40,7 +40,7 @@ from repro.analysis.rules import (
     _terminal_name,
 )
 
-__all__ = ["FLOW_RULES", "FLOW_RULE_IDS", "FlowVisitor"]
+__all__ = ["FLOW_RULES", "FlowVisitor"]
 
 FLOW_RULES: Tuple[Rule, ...] = (
     Rule(
@@ -75,8 +75,6 @@ FLOW_RULES: Tuple[Rule, ...] = (
         "makes simulated results depend on the invoking shell",
     ),
 )
-
-FLOW_RULE_IDS: Set[str] = {rule.id for rule in FLOW_RULES}
 
 #: canonical names that construct a stdlib/numpy RNG (SIM012 factories)
 _RNG_FACTORIES = {

@@ -11,7 +11,7 @@ liveness at a fixed cadence, and raises a deterministic
 The monitor is RNG-free and touches no query state, so its periodic
 events shift kernel sequence numbers uniformly — bit-identity of every
 latency ledger is preserved (see the zero-preemption identity gate in
-``scripts/check.sh``).
+``tests/experiments/test_spot.py``).
 
 Checked invariants, per registered service:
 

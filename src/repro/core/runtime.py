@@ -104,7 +104,7 @@ class AmoebaRuntime:
         self.faults = FaultInjector(faults, self.rng) if faults is not None else None
         # like the zero fault plan, a disabled policy's governors make
         # every decision a no-op, so wiring them in is behaviourally
-        # inert (the check.sh bit-identity gate holds us to that)
+        # inert (the disabled-policy bit-identity test holds us to that)
         self.overload_policy = overload
         self.serverless = ServerlessPlatform(
             self.env,

@@ -127,6 +127,8 @@ def main(argv=None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk run cache")
     args = parser.parse_args(argv)
+    if args.day is not None and not args.day > 0.0:
+        parser.error(f"--day must be a positive number of seconds, got {args.day:g}")
 
     if args.no_cache:
         cache = None

@@ -11,8 +11,7 @@ scaled across a range of factors (0 = no faults) and reports, per scale:
 
 The zero-fault column doubles as the determinism gate: with every rate
 at zero the injector makes no RNG draws, so that run is bit-identical to
-a run with no fault layer at all (asserted by the chaos tests and the
-``scripts/check.sh`` quick tier).
+a run with no fault layer at all (asserted by the chaos tests).
 """
 
 from __future__ import annotations

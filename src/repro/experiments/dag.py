@@ -9,8 +9,9 @@ mid-chain brownout burst, and compares two retry disciplines per depth:
 * **naive** — a deadline-blind high-cap retry client with backpressure
   and propagation off (the retry-storm baseline).
 
-The acceptance claim (check.sh retry-storm gate): at 2.5x overload on a
-4-deep chain the budgeted stack keeps the end-to-end QoS-violation rate
+The acceptance claim (the retry-storm gate in
+``tests/experiments/test_dag.py``): at 2.5x overload on a 4-deep chain
+the budgeted stack keeps the end-to-end QoS-violation rate
 of completed requests under :data:`VIOLATION_BOUND` while the naive
 baseline exceeds it and issues an order of magnitude more retries —
 and both legs are ``float.hex``-deterministic across reruns and worker

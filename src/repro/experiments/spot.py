@@ -8,8 +8,9 @@ pool/cache machinery and reports the QoS/cost frontier: how much of the
 on-demand bill the spot share saves, and what the preemption and surge
 machinery pay (or avoid paying) for it in QoS violations.
 
-The acceptance claim (check.sh preemption-storm gate): with half the
-rental on spot capacity and a guaranteed reclamation, the graceful
+The acceptance claim (the preemption-storm gate in
+``tests/experiments/test_spot.py``): with half the rental on spot
+capacity and a guaranteed reclamation, the graceful
 drain protocol keeps the QoS-violation fraction (drops counted as
 violations) at or under :data:`GRACEFUL_VIOLATION_BOUND` while the
 no-notice hard-kill baseline exceeds :data:`HARDKILL_VIOLATION_FLOOR`

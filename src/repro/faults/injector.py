@@ -14,8 +14,8 @@ service (``faults/coldstart/<svc>``, ``faults/vmboot/<svc>``, ...), so
 Every decision is gated on its probability being strictly positive
 **before** any stream is touched: a zero-rate plan makes zero draws and
 creates zero streams, which is what makes the zero-fault chaos config
-bit-identical to a run without the fault layer (the ``scripts/check.sh``
-golden gate).
+bit-identical to a run without the fault layer (gated in
+``tests/experiments/test_chaos.py``).
 """
 
 from __future__ import annotations

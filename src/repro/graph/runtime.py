@@ -14,7 +14,7 @@ consistent with the graph-level goal, *and* every query carries the
 absolute deadline + downstream reservation so admission sees remaining
 budget.  With it off, nodes keep their benchmark targets and no deadline
 is attached — a single-node graph then replays the flat scenario
-bit-for-bit (the check.sh identity gate).
+bit-for-bit (gated in ``tests/graph/test_cascade.py``).
 """
 
 from __future__ import annotations

@@ -110,7 +110,7 @@ class OverloadPolicy:
         """The zero policy: wired in but decisionless.
 
         A run under this policy must be ``float.hex``-identical to a run
-        with no overload layer at all (gated in ``scripts/check.sh``).
+        with no overload layer at all (gated in ``tests/experiments/test_overload.py``).
         """
         return cls(enabled=False, admission_control=False, shed_expired=False, breaker_enabled=False)
 

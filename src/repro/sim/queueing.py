@@ -3,9 +3,8 @@
 This module is pure stdlib math with no dependencies on the rest of the
 repo, which is why it lives at the bottom of the layer stack in
 ``repro.sim`` (every layer above — sizing, admission control, the
-controller, the fleet generator — reasons with these equations).  It
-moved here from ``repro.core.queueing``; that path remains as a
-re-export shim for external callers.
+controller, the fleet generator — reasons with these equations).
+``repro.core`` re-exports its public names.
 
 Queries arrive Poisson(λ), N containers each serve exp(μ), one FIFO queue
 of infinite capacity.  With ρ = λ/(Nμ) < 1 the stationary distribution is

@@ -1,9 +1,6 @@
-"""Engine behavior: discovery, scopes, suppression spans, SIM016, cache."""
+"""Engine behavior: discovery, scopes, suppression spans, SIM016, CLI."""
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 from repro.analysis.engine import (
     SCOPE_KERNEL,
@@ -13,9 +10,6 @@ from repro.analysis.engine import (
     run_engine,
 )
 from repro.analysis.lint import main
-
-FIXTURES = Path(__file__).parent / "fixtures"
-
 
 # -- discovery ---------------------------------------------------------------
 
@@ -75,7 +69,7 @@ def test_directive_inside_multiline_statement_suppresses(tmp_path):
     )
     analysis = analyze_source(source, "src/repro/sim/mod.py", scope=SCOPE_KERNEL)
     assert not any(v.rule_id == "SIM002" for v in analysis.violations)
-    assert analysis.suppressed.get("SIM002") == 1
+    assert [d.used for d in analysis.directives] == [True]
 
 
 def test_directive_on_def_line_covers_decorator_findings():
@@ -119,27 +113,29 @@ def test_directive_on_header_does_not_blanket_the_body():
 # -- SIM016 stale-ignore audit -----------------------------------------------
 
 
-def test_stale_directive_is_a_warning_by_default(tmp_path):
+def test_stale_directive_is_a_warning_by_default(tmp_path, capsys):
+    """SIM016 is no longer a warning: with no options a stale directive is an error."""
     target = tmp_path / "mod.py"
     target.write_text("x = 1  # simlint: ignore[SIM005]\n", encoding="utf-8")
     report = run_engine([tmp_path])
-    assert report.errors == []
-    assert [v.rule_id for v in report.warnings] == ["SIM016"]
+    assert [(v.line, v.rule_id) for v in report.errors] == [(1, "SIM016")]
+    assert main([str(target)]) == 1
+    assert "SIM016" in capsys.readouterr().out
 
 
 def test_strict_ignores_escalates_stale_directives(tmp_path):
+    """Strict ignores is the only mode: a stale blanket directive is an error too."""
     target = tmp_path / "mod.py"
     target.write_text("x = 1  # simlint: ignore\n", encoding="utf-8")
-    report = run_engine([tmp_path], strict_ignores=True)
-    assert [v.rule_id for v in report.errors] == ["SIM016"]
+    report = run_engine([tmp_path])
+    assert [(v.line, v.rule_id) for v in report.errors] == [(1, "SIM016")]
 
 
 def test_used_directive_is_not_stale(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text("def f(x=[]):  # simlint: ignore[SIM005]\n    return x\n", encoding="utf-8")
-    report = run_engine([tmp_path], strict_ignores=True)
+    report = run_engine([tmp_path])
     assert report.errors == []
-    assert report.warnings == []
 
 
 def test_directive_mention_in_docstring_is_not_a_directive(tmp_path):
@@ -148,11 +144,11 @@ def test_directive_mention_in_docstring_is_not_a_directive(tmp_path):
         '"""Silence with ``# simlint: ignore[SIM005]`` on the statement."""\nx = 1\n',
         encoding="utf-8",
     )
-    report = run_engine([tmp_path], strict_ignores=True)
+    report = run_engine([tmp_path])
     assert report.errors == []
 
 
-# -- incremental cache -------------------------------------------------------
+# -- CLI ---------------------------------------------------------------------
 
 
 def _write_tree(tmp_path):
@@ -161,43 +157,6 @@ def _write_tree(tmp_path):
     (src / "clean.py").write_text("x = 1\n", encoding="utf-8")
     (src / "dirty.py").write_text("import time\ntime.time()\n", encoding="utf-8")
     return src
-
-
-def test_cache_reuses_unchanged_files_and_invalidates_on_edit(tmp_path):
-    src = _write_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-
-    cold = run_engine([src], cache_path=cache)
-    assert cold.files_analyzed == 2 and cold.files_reused == 0
-    assert [v.rule_id for v in cold.errors] == ["SIM001"]
-
-    warm = run_engine([src], cache_path=cache)
-    assert warm.files_analyzed == 0 and warm.files_reused == 2
-    assert [v.render() for v in warm.errors] == [v.render() for v in cold.errors]
-
-    (src / "dirty.py").write_text("import time\n", encoding="utf-8")
-    edited = run_engine([src], cache_path=cache)
-    assert edited.files_analyzed == 1 and edited.files_reused == 1
-    assert edited.errors == []
-
-
-def test_cache_survives_corruption(tmp_path):
-    src = _write_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    cache.write_text("not json{", encoding="utf-8")
-    report = run_engine([src], cache_path=cache)
-    assert report.files_analyzed == 2
-    assert json.loads(cache.read_text(encoding="utf-8"))["version"] >= 1
-
-
-def test_parallel_jobs_match_serial_results():
-    tree = FIXTURES / "arch" / "bad_cycle"
-    serial = run_engine([tree], jobs=1)
-    parallel = run_engine([tree], jobs=2)
-    assert [v.render() for v in serial.errors] == [v.render() for v in parallel.errors]
-
-
-# -- CLI ---------------------------------------------------------------------
 
 
 def test_cli_exit_codes_and_text_output(tmp_path, capsys):
@@ -214,13 +173,3 @@ def test_cli_broken_file_exits_2(tmp_path, capsys):
     bad.write_text("def (:\n", encoding="utf-8")
     assert main([str(bad)]) == 2
     assert "cannot parse" in capsys.readouterr().err
-
-
-def test_cli_baseline_roundtrip(tmp_path, capsys):
-    src = _write_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert main([str(src), "--write-baseline", str(baseline), "--justification", "legacy"]) == 0
-    capsys.readouterr()
-    assert main([str(src), "--baseline", str(baseline)]) == 0
-    captured = capsys.readouterr()
-    assert "baselined:" in captured.out

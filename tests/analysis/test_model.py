@@ -5,7 +5,7 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.analysis.model import ImportRecord, ModuleRecord, collect_imports, module_exports, module_name
+from repro.analysis.model import collect_imports, module_exports, module_name
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -67,14 +67,3 @@ def test_module_exports_reads_static_all():
     assert module_exports(tree) == ("a", "b")
     assert module_exports(ast.parse("x = 1\n")) is None
 
-
-def test_records_roundtrip_through_json():
-    record = ModuleRecord(
-        path="src/repro/sim/impl.py",
-        module="repro.sim.impl",
-        imports=(ImportRecord("repro.sim", ("api_fn",), 3, 0, True),),
-        exports=("api_fn",),
-        is_init=False,
-    )
-    restored = ModuleRecord.from_json(record.path, record.to_json())
-    assert restored == record

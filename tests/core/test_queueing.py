@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.queueing import (
+from repro.sim.queueing import (
     discriminant_lambda,
     erlang_c,
     erlang_pi0,

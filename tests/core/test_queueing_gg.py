@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.queueing import (
+from repro.sim.queueing import (
     max_arrival_rate,
     max_arrival_rate_gg,
     qos_satisfied_gg,

@@ -22,7 +22,7 @@ from decimal import Decimal, getcontext
 
 import pytest
 
-from repro.core.queueing import (
+from repro.sim.queueing import (
     discriminant_lambda,
     erlang_c,
     erlang_pi0,

@@ -28,3 +28,11 @@ def test_day_and_seed_flags(capsys):
     assert main(["fig2", "--day", "300", "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert "Fig. 2" in out
+
+
+@pytest.mark.parametrize("day", ["-5", "0", "nan"])
+def test_non_positive_day_is_a_usage_error(day, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fig11", "--day", day, "--no-cache"])
+    assert exc.value.code == 2
+    assert "--day must be a positive number" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from repro.experiments.dag import (
     E2E_PER_NODE,
     NOMINAL_RATE,
     OVERLOAD_FACTOR,
+    VIOLATION_BOUND,
     dag_scenario,
     dag_sweep,
     storm_comparison,
@@ -71,6 +72,22 @@ class TestDagSweep:
         pair = storm_comparison(depth=2, day=45.0, workers=1, cache=False)
         assert set(pair) == {"budgeted", "naive"}
         assert all(s.offered > 0 for s in pair.values())
+
+    def test_storm_acceptance_at_depth_4(self):
+        """The retry-storm gate: 2.5x overload, 4-deep chain, mid-chain
+        brownout.  The budgeted stack holds QoS, the naive client
+        measurably storms, and both legs are worker-count invariant."""
+        kw = dict(depth=4, seed=0, day=120.0, cache=False)
+        serial = storm_comparison(workers=1, **kw)
+        fanned = storm_comparison(workers=2, **kw)
+        for leg in ("budgeted", "naive"):
+            a, b = serial[leg], fanned[leg]
+            assert [x.hex() for x in a.latencies] == [x.hex() for x in b.latencies], leg
+            assert a.retries == b.retries, leg
+        budgeted, naive = serial["budgeted"], serial["naive"]
+        assert budgeted.violation_fraction <= VIOLATION_BOUND
+        assert naive.violation_fraction >= 0.25
+        assert naive.retries["attempted"] >= 5 * max(1, budgeted.retries["attempted"])
 
 
 def test_cli_dag_target(capsys):

@@ -1,8 +1,9 @@
 """Fleet generator + fleet sweep: determinism, normalization, validation.
 
 Quick-tier pieces cover the generator's contracts (pure config-time
-code); the sweep and analytic-validation tests run real simulations and
-sit in the slow tier with the other full-system runs.
+code) and the sweep's worker-count identity; the other sweep and
+analytic-validation tests run real simulations and sit in the slow tier
+with the other full-system runs.
 """
 
 import math
@@ -10,7 +11,7 @@ import math
 import pytest
 
 from repro.core.meters import expected_platform_overhead
-from repro.core.queueing import sojourn_quantile
+from repro.sim.queueing import sojourn_quantile
 from repro.experiments.fleet import (
     FLEET_DAY,
     analytic_service_prediction,
@@ -125,17 +126,19 @@ class TestFleetScenarios:
         assert FLEET_DAY == 600.0
 
 
-# everything below runs real simulations (slow tier)
+# everything below runs real simulations; all but the worker-count
+# identity gate sit in the slow tier
 _SWEEP_KW = dict(services=6, daily_queries=3e5, day=150.0)
 
 
-@pytest.mark.slow
 class TestFleetSweep:
+    @pytest.mark.slow
     def test_sweep_deterministic_same_seed(self):
         a = fleet_sweep(seed=9, workers=1, cache=False, **_SWEEP_KW)
         b = fleet_sweep(seed=9, workers=1, cache=False, **_SWEEP_KW)
         assert _hexes(a) == _hexes(b)
 
+    @pytest.mark.slow
     def test_sweep_differs_across_seeds(self):
         a = fleet_sweep(seed=9, workers=1, cache=False, **_SWEEP_KW)
         b = fleet_sweep(seed=10, workers=1, cache=False, **_SWEEP_KW)
@@ -145,7 +148,9 @@ class TestFleetSweep:
         serial = fleet_sweep(seed=9, workers=1, cache=False, **_SWEEP_KW)
         parallel = fleet_sweep(seed=9, workers=3, cache=False, **_SWEEP_KW)
         assert _hexes(serial) == _hexes(parallel)
+        assert all(row[2] > 0 for row in serial.extras["per_service"])
 
+    @pytest.mark.slow
     def test_report_shape(self):
         fig = fleet_sweep(seed=9, workers=1, cache=False, **_SWEEP_KW)
         assert fig.figure == "fleet"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.meters import expected_platform_overhead
-from repro.core.queueing import max_arrival_rate
+from repro.sim.queueing import max_arrival_rate
 from repro.experiments.scenarios import (
     PEAK_RATES,
     SERVERLESS_FRACTIONS,

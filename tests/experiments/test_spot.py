@@ -39,9 +39,9 @@ def _row_hexes(figure):
 class TestZeroPreemptionIdentity:
     """Spot capacity with a zero-preemption plan is invisible to the sim.
 
-    The quick-tier form of the check.sh bit-identity gate: attaching the
-    new spot/fault fields at probability 0.0 to every scenario family
-    leaves the latency stream ``float.hex``-identical.
+    The bit-identity gate: attaching the new spot/fault fields at
+    probability 0.0 to every scenario family leaves the latency stream
+    ``float.hex``-identical.
     """
 
     def test_default_scenario(self):
@@ -96,7 +96,7 @@ class TestZeroPreemptionIdentity:
 
 
 class TestStormGate:
-    """The drain-vs-hard-kill pair behind the check.sh preemption gate."""
+    """The preemption-storm gate: the drain-vs-hard-kill pair."""
 
     def test_comparison_scenario_pins_the_iaas_path(self):
         sc = spot_comparison_scenario(graceful=True)

@@ -100,7 +100,7 @@ def test_fleet_scale_sizing_survives_large_n():
     n, k = sizing.workers, sizing.vm_count
     assert n >= 1 and k >= 1
     # the chosen rental really is QoS-feasible at peak
-    from repro.core.queueing import qos_satisfied
+    from repro.sim.queueing import qos_satisfied
 
     s_eff = effective_service_time(spec, n, k, sizing.flavor, ContentionConfig())
     assert qos_satisfied(500.0, 1.0 / s_eff, n, spec.qos_target * 0.90)
