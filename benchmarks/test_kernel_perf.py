@@ -4,10 +4,11 @@ These are the performance-regression guards for the substrate itself:
 the event loop, the contention engine's rebalance, the Erlang math and
 the PCA fit are what every experiment's wall time is made of.
 
-The scheduling guards at the bottom pin the single-timer completion
-scheme's asymptotics (DESIGN.md §6): heap insertions per completed query
-must stay O(1) amortized, and a simulated hour must stay cheap in wall
-time.  The tracked end-to-end numbers come from ``benchmarks/e2e/``.
+The scheduling guards at the bottom pin the completion scheme's
+asymptotics (DESIGN.md §6): a rebalance costs O(classes), not O(active
+executions); heap insertions per completed query stay O(1) amortized; and
+a simulated hour stays cheap in wall time.  The tracked end-to-end numbers
+come from ``benchmarks/e2e/``.
 """
 
 import time
@@ -66,6 +67,54 @@ def test_machine_model_rebalance(benchmark):
         return machine.active_count
 
     assert benchmark(run) == 0
+
+
+def churn_s_per_rebalance(concurrency, machine_cls=MachineModel, executions=3000, reps=5):
+    """Host seconds per rebalance of an execute/finish churn, best of ``reps``.
+
+    Executions of two sensitivity classes arrive at a steady gap sized so
+    that about ``concurrency`` are in flight, on a machine whose capacity
+    scales with ``concurrency``: pressures, and so rates, are the same at
+    every concurrency, and only the size of the active set differs.  Each
+    execution causes exactly two rebalances (arrival and completion).
+    """
+    demand = DemandVector(cpu=1.0, io_mbps=1.0)
+    classes = (SensitivityVector(cpu=1.0, io=0.2), SensitivityVector(cpu=0.5, io=1.0))
+    work = 1.0
+    best = float("inf")
+    for _ in range(reps):
+        env = Environment()
+        machine = machine_cls(
+            env, cores=2.0 * concurrency, io_mbps=2.0 * concurrency, net_mbps=1000.0
+        )
+        gap = work * 1.05 / concurrency  # slowdown at pressure 0.5 is ~1.05
+
+        def feeder(env):
+            for i in range(executions):
+                machine.execute(work * (0.5 + (i % 11) / 10.0), demand, classes[i & 1])
+                yield env.timeout(gap)
+
+        env.process(feeder(env))
+        t0 = time.perf_counter()
+        env.run()
+        best = min(best, time.perf_counter() - t0)
+        assert machine.completed == executions
+    return best / (2 * executions)
+
+
+def test_rebalance_cost_independent_of_active_set():
+    """Scaling guard: 40x more executions in flight, about the same rebalance cost.
+
+    A rebalance advances one virtual clock per sensitivity class, so its
+    cost depends on the number of classes (two here), not on the number of
+    executions in flight.  A kernel that walks every active execution
+    (tests/cluster/oracle_kernel.py) costs 11-12x more per rebalance at
+    ~400 in flight than at ~10.  The ratio is taken on one host, so
+    machine speed cancels.
+    """
+    small = churn_s_per_rebalance(10)
+    large = churn_s_per_rebalance(400)
+    assert large / small < 3.0, (small, large)
 
 
 def test_discriminant_evaluation(benchmark):

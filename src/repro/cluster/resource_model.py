@@ -17,18 +17,24 @@ Fig. 5).  The model has three properties the paper's analysis depends on:
     PCA-corrected weight calibration (Amoeba) models and the pessimistic
     additive variant (Amoeba-NoM) over-estimates.
 3.  **Executions are progress-based.**  Each execution carries its
-    remaining *work* (seconds of uncontended execution).  When the active
-    set changes, every execution's accumulated progress is banked and its
-    rate recomputed, so latencies respond to contention that arrives
+    remaining *work* (seconds of uncontended execution), consumed at its
+    current rate, so latencies respond to contention that arrives
     *mid-execution*.
 
-Completion scheduling is **single-timer** (DESIGN.md §6): all executions
-on a machine share one pressure vector, so between set changes each runs
-at a fixed rate and the next completion is simply ``min(work_left /
-rate)`` — one O(N) scan per rebalance, one timer per machine.  The
+Completion scheduling uses **per-class virtual clocks** and a
+**single timer** per machine (DESIGN.md §6).  All executions on a machine
+share one pressure vector, and executions with the same sensitivity
+vector (every invocation of one function) therefore share one rate.  Each
+such class integrates one virtual-work clock ``vclock = ∫ rate dt`` and
+keeps its executions as finish points ``vclock_at_admission + work`` in a
+min-heap.  A rebalance advances C class clocks, recomputes C rates and
+reads C heap tops — O(C) work per arrival or completion plus one
+O(log N) heap operation, instead of banking every in-flight execution.
+The earliest ``(finish_v − vclock) / rate`` over the heap tops (ties
+broken by admission order) arms the machine's one completion timer; the
 previous timer is cancelled through the kernel's event-cancellation path
-rather than left to fire as a stale generation-guarded no-op, which keeps
-heap growth O(1) amortized per query instead of O(active set) per change.
+rather than left to fire as a stale no-op, which keeps heap growth O(1)
+amortized per query.
 """
 
 from __future__ import annotations
@@ -163,28 +169,24 @@ class ContentionConfig:
         return 1.0 + worst + (1.0 - self.overlap) * (total - worst)
 
 
-class _Execution:
-    """Bookkeeping for one in-flight execution on a machine."""
+class _Class:
+    """One sensitivity class on a machine: a shared virtual-work clock.
 
-    __slots__ = ("eid", "demand", "sens", "work_left", "rate", "last_update", "done", "start")
+    ``vclock`` is the work every member has been credited since the class
+    last refilled (∫ rate dt, banked up to ``last``); ``heap`` holds one
+    ``(finish_v, eid, demand, done, start)`` entry per in-flight member,
+    ordered by virtual finish point with admission order (``eid``) as the
+    tie-break.  A member's remaining work is ``finish_v − vclock``.
+    """
 
-    def __init__(
-        self,
-        eid: int,
-        demand: DemandVector,
-        sens: SensitivityVector,
-        work: float,
-        done: Event,
-        now: float,
-    ):
-        self.eid = eid
-        self.demand = demand
+    __slots__ = ("sens", "vclock", "last", "rate", "heap")
+
+    def __init__(self, sens: SensitivityVector):
         self.sens = sens
-        self.work_left = work
+        self.vclock = 0.0
+        self.last = 0.0
         self.rate = 1.0
-        self.last_update = now
-        self.done = done
-        self.start = now
+        self.heap: list[tuple[float, int, DemandVector, Event, float]] = []
 
 
 class _CompletionTimer(Event):
@@ -245,14 +247,18 @@ class MachineModel:
         self.env = env
         self.capacity = (float(cores), float(io_mbps), float(net_mbps))
         self.config = config if config is not None else ContentionConfig()
-        self._active: Dict[int, _Execution] = {}
+        #: every class ever seen, keyed by id(sens), empty ones included; a
+        #: class keeps its sens alive, so an id is never reused while cached
+        self._classes: Dict[int, _Class] = {}
+        self._n_active = 0
         self._ids = itertools.count()
         self._demand_totals = [0.0, 0.0, 0.0]
         self._memory_in_use = 0.0
         self._background_count = 0
-        #: the machine's single next-completion timer and its target
+        #: the machine's single next-completion timer and the class whose
+        #: heap top it fires for
         self._timer: Optional[Event] = None
-        self._timer_ex: Optional[_Execution] = None
+        self._timer_cls: Optional[_Class] = None
         #: perf-guard counters: timers armed / queries completed
         self.timer_arms = 0
         self.completed = 0
@@ -268,7 +274,7 @@ class MachineModel:
     @property
     def active_count(self) -> int:
         """Number of in-flight executions."""
-        return len(self._active)
+        return self._n_active
 
     @property
     def memory_in_use_mb(self) -> float:
@@ -293,9 +299,21 @@ class MachineModel:
         if work <= 0:
             raise ValueError(f"work must be positive, got {work}")
         now = self.env.now
+        cls = self._classes.get(id(sens))
+        if cls is None:
+            cls = self._classes[id(sens)] = _Class(sens)
+        if cls.heap:
+            elapsed = now - cls.last
+            if elapsed > 0:
+                cls.vclock += elapsed * cls.rate
+        else:
+            # an empty class's clock means nothing: restart it at zero, so
+            # a class's clock only grows over one of its busy periods
+            cls.vclock = 0.0
+        cls.last = now
         done = self.env.event()
-        ex = _Execution(next(self._ids), demand, sens, work, done, now)
-        self._active[ex.eid] = ex
+        heapq.heappush(cls.heap, (cls.vclock + work, next(self._ids), demand, done, now))
+        self._n_active += 1
         self._demand_totals[0] += demand.cpu
         self._demand_totals[1] += demand.io_mbps
         self._demand_totals[2] += demand.net_mbps
@@ -304,18 +322,16 @@ class MachineModel:
         return done
 
     def _rebalance(self, now: float) -> None:
-        """Bank progress, recompute rates and re-arm the completion timer.
+        """Advance the class clocks, recompute rates and re-arm the timer.
 
-        Called after every active-set or demand change.  Banking (credit
-        each execution's progress at its *old* rate up to ``now``) and the
-        rate refresh are fused into one pass over the active set: the two
-        computations are independent per execution, so interleaving them
-        produces bit-identical results to the former two-pass scheme.
+        Called after every active-set or demand change.  Each non-empty
+        class's clock is first advanced at its *old* rate up to ``now``,
+        then its rate is refreshed from the new pressures.
         """
         # clamp accumulated float residue so an empty machine reads
         # exactly zero pressure (additions and removals of the same
         # demands do not cancel bitwise when interleaved)
-        if not self._active and not self._background_count:
+        if not self._n_active and not self._background_count:
             # provably empty: snap exactly (the epsilon clamp below misses
             # residues of 1e-9 and larger, e.g. after a 1e-9 demand leaves)
             self._demand_totals[0] = self._demand_totals[1] = self._demand_totals[2] = 0.0
@@ -328,20 +344,15 @@ class MachineModel:
                 self._memory_in_use = 0.0
         pressures = self.pressures()
         cfg = self.config
-        # single O(N) pass: refresh every rate, find the earliest finisher.
-        # All executions share `pressures`, so between set changes each
-        # runs at a fixed rate and min(work_left / rate) IS the next
-        # completion — no per-execution timers needed.  Strict `<` keeps
-        # the tie-break on insertion (eid) order, matching the FIFO order
-        # the per-execution scheme produced.
+        # one pass over the C non-empty classes.  Between set changes every
+        # member of a class runs at the class rate, so the class's heap
+        # top is its earliest finisher, and the earliest of the C tops is
+        # the machine's next completion.  Equal finish times go to the
+        # lower eid (admission order), across classes as within one.
         #
-        # Rate fast path: g(p) depends only on the shared pressures, so it
-        # is evaluated once per axis, and executions with the same
-        # sensitivity vector (all invocations of one function share the
-        # spec's) hit a per-rebalance cache.  The arithmetic below mirrors
-        # ContentionConfig.slowdown term for term so the cached rates are
-        # bit-identical to cfg.slowdown()'s.
-        # g() unrolled per axis (mirrors ContentionConfig.g bit for bit)
+        # g() is evaluated once per axis and the slowdown arithmetic below
+        # mirrors ContentionConfig.g and ContentionConfig.slowdown term for
+        # term, so each class rate is bit-identical to cfg.slowdown()'s.
         lin, quad, knee, cap = cfg.linear, cfg.quad, cfg.knee, cfg.pressure_cap
         p = min(pressures[0], cap)
         e = p - knee
@@ -353,41 +364,38 @@ class MachineModel:
         e = p - knee
         g2 = lin * p + (quad * e * e if e > 0 else 0.0)
         co_overlap = 1.0 - cfg.overlap
-        # keyed by id(): invocations of one function share the spec's
-        # sensitivity object, and identity lookups skip the dataclass's
-        # field-tuple hash (equal-valued distinct objects just recompute
-        # the same bits)
-        rate_of: Dict[int, float] = {}
-        next_ex: Optional[_Execution] = None
+        next_cls: Optional[_Class] = None
         next_in = math.inf
-        for ex in self._active.values():
-            elapsed = now - ex.last_update
+        next_eid = 0
+        for cls in self._classes.values():
+            heap = cls.heap
+            if not heap:
+                continue
+            elapsed = now - cls.last
             if elapsed > 0:
-                ex.work_left -= elapsed * ex.rate
-                if ex.work_left < 0:
-                    ex.work_left = 0.0
-            ex.last_update = now
-            sens = ex.sens
-            rate = rate_of.get(id(sens))
-            if rate is None:
-                d0 = sens.cpu * g0
-                d1 = sens.io * g1
-                d2 = sens.net * g2
-                total = d0 + d1 + d2
-                worst = max(d0, d1, d2)
-                rate = 1.0 / (1.0 + worst + co_overlap * (total - worst))
-                rate_of[id(sens)] = rate
-            ex.rate = rate
-            finish_in = ex.work_left / rate if rate > 0 else math.inf
-            if finish_in < next_in:
+                cls.vclock += elapsed * cls.rate
+            cls.last = now
+            sens = cls.sens
+            d0 = sens.cpu * g0
+            d1 = sens.io * g1
+            d2 = sens.net * g2
+            total = d0 + d1 + d2
+            worst = max(d0, d1, d2)
+            rate = 1.0 / (1.0 + worst + co_overlap * (total - worst))
+            cls.rate = rate
+            top = heap[0]
+            left = top[0] - cls.vclock
+            finish_in = left / rate if left > 0 else 0.0
+            if finish_in < next_in or (finish_in == next_in and top[1] < next_eid):
                 next_in = finish_in
-                next_ex = ex
+                next_eid = top[1]
+                next_cls = cls
         # re-arm the machine's one completion timer (cancel the stale one)
         timer = self._timer
         if timer is not None and not timer._processed:
             timer.cancel()
-        self._timer_ex = next_ex
-        if next_ex is None:
+        self._timer_cls = next_cls
+        if next_cls is None:
             self._timer = None
         else:
             self._timer = _CompletionTimer(self.env, next_in, self)
@@ -412,28 +420,35 @@ class MachineModel:
             self.on_pressure_change(now, pressures)
 
     def _on_timer(self) -> None:
-        ex = self._timer_ex
-        assert ex is not None  # a live timer always has a target
+        cls = self._timer_cls
+        assert cls is not None  # a live timer always has a target class
         now = self.env.now
-        # bank this execution's own progress precisely
-        ex.work_left -= (now - ex.last_update) * ex.rate
-        ex.last_update = now
-        if ex.work_left > 1e-12:  # numeric guard: not actually done yet
-            # rates are unchanged since arming (any set change would have
-            # cancelled this timer), so ``ex`` is still the earliest
-            self._timer = _CompletionTimer(self.env, ex.work_left / ex.rate, self)
-            self.timer_arms += 1
-            return
-        ex.work_left = 0.0  # clamp float residue; progress never goes negative
-        del self._active[ex.eid]
-        d = ex.demand
+        cls.vclock += (now - cls.last) * cls.rate
+        cls.last = now
+        heap = cls.heap
+        vclock = cls.vclock
+        left = heap[0][0] - vclock
+        # numeric guard: not actually done yet.  ``left`` is a difference
+        # of two clock readings, so its rounding error scales with the
+        # clock, and the threshold does too; a delay too small to move
+        # ``now`` would re-fire at the same instant forever, so it counts
+        # as done.  Rates are unchanged since arming (any set change
+        # would have cancelled this timer), so the top is still earliest.
+        if left > 1e-12 * (vclock if vclock > 1.0 else 1.0):
+            delay = left / cls.rate
+            if now + delay > now:
+                self._timer = _CompletionTimer(self.env, delay, self)
+                self.timer_arms += 1
+                return
+        _finish_v, _eid, d, done, start = heapq.heappop(heap)
+        self._n_active -= 1
         self._demand_totals[0] -= d.cpu
         self._demand_totals[1] -= d.io_mbps
         self._demand_totals[2] -= d.net_mbps
         self._memory_in_use -= d.memory_mb
         self._rebalance(now)
         self.completed += 1
-        ex.done.succeed(now - ex.start)
+        done.succeed(now - start)
 
     # -- background pressure -------------------------------------------------
     def inject_background(self, demand: DemandVector) -> Callable[[], None]:

@@ -223,3 +223,60 @@ class TestMachineModel:
         assert len(seen) >= 2  # start + finish
         assert seen[0][1][0] > 0.0
         assert seen[-1][1][0] == pytest.approx(0.0)
+
+    def test_class_that_never_drains_over_a_long_horizon(self, env):
+        """A class busy for ~1e5 s carries a large virtual clock.
+
+        A member's remaining work is a difference of two clock readings,
+        so its rounding error grows with the clock (one ULP at 8.6e4 is
+        1.5e-11).  An absolute 1e-12 completion guard re-arms a
+        near-zero-delay timer here forever; the run must finish with O(1)
+        timer arms per completion and nothing live left on the heap.
+        """
+        m = make_machine(env)
+        n = 20_000
+
+        def feeder(env):
+            # a new job every 5 s, each lasting well over 12 s: the class
+            # always has members, so its clock is never rebased
+            for i in range(n):
+                m.execute(12.0 + 0.1 * (i % 7), DemandVector(cpu=3.1), SENS_CPU)
+                yield env.timeout(5.0)
+
+        env.process(feeder(env))
+        run_with_step_budget(env, 20 * n)
+        assert env.now > 1e5
+        assert m.completed == n
+        assert m.timer_arms / m.completed < 3
+        assert m.active_count == 0
+        assert env.live_size == 0
+
+    def test_short_jobs_late_in_a_long_run(self, env):
+        """A refilled class has a small clock while ``now`` is large.
+
+        The completion time is rounded to ``now``'s ULP (7.3e-12 at
+        3.3e4), which can leave a few 1e-12 of work whose re-armed delay
+        no longer moves the clock; that residue must count as done.
+        """
+        m = make_machine(env)
+        n = 5_000
+
+        def feeder(env):
+            # one short solo job every 20 s: the class drains every time
+            for i in range(n):
+                m.execute(0.3 + 0.01 * (i % 7), CPU1, SENS_CPU)
+                yield env.timeout(20.0)
+
+        env.process(feeder(env))
+        run_with_step_budget(env, 20 * n)
+        assert m.completed == n
+        assert m.timer_arms == m.completed
+        assert env.live_size == 0
+
+
+def run_with_step_budget(env, budget):
+    """Drain ``env`` but fail, rather than hang, if it takes over ``budget`` steps."""
+    while env.peek() != float("inf"):
+        assert budget, f"completion timer re-armed without end at t={env.now}"
+        env.step()
+        budget -= 1
