@@ -22,9 +22,10 @@
 * :mod:`repro.core.controller` — the contention-aware deployment
   controller (§IV) with the co-tenant QoS guard (§III).
 * :mod:`repro.core.runtime` — the Amoeba facade and its ablation
-  variants (NoM, NoP) plus pure-IaaS / pure-serverless baselines.
-* :mod:`repro.core.invariants` — the always-on kernel invariant monitor
-  (conservation, clock monotonicity, no-wedge liveness).
+  variants (NoM, NoP).
+* :mod:`repro.core.invariants` — the kernel invariant monitor
+  (conservation, clock monotonicity, no-wedge liveness) every system's
+  run ends through.
 """
 
 from typing import Any

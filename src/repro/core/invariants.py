@@ -140,6 +140,15 @@ class InvariantMonitor:
                 watch.stall_since = None
             watch.last_terminals = terminals
 
+    def run(self, until: float) -> None:
+        """Advance the simulation to ``until``, then check the horizon.
+
+        Every system ends its run here, so no run path escapes the
+        exact conservation check.
+        """
+        self.env.run(until=until)
+        self.check_horizon()
+
     def check_horizon(self) -> None:
         """Exact conservation at the end of a run.
 

@@ -195,10 +195,7 @@ class AmoebaRuntime:
         """
         if spec.name in self.services or spec.name in self.background:
             raise ValueError(f"service {spec.name!r} already added")
-        if reservoir is not None:
-            metrics = ServiceMetrics(spec.name, spec.qos_target, reservoir=reservoir)
-        else:
-            metrics = ServiceMetrics(spec.name, spec.qos_target)
+        metrics = ServiceMetrics(spec.name, spec.qos_target, reservoir=reservoir)
         sizing = size_service(
             spec,
             sizing_rate if sizing_rate is not None else trace.peak_rate,
@@ -270,12 +267,20 @@ class AmoebaRuntime:
         return managed
 
     def add_background(
-        self, spec: MicroserviceSpec, trace: Trace, limit: Optional[int] = None
+        self,
+        spec: MicroserviceSpec,
+        trace: Trace,
+        limit: Optional[int] = None,
+        reservoir: Optional[int] = None,
     ) -> BackgroundService:
-        """Add an always-serverless co-tenant (contention source)."""
+        """Add an always-serverless co-tenant (contention source).
+
+        ``reservoir`` overrides the latency-reservoir capacity, as in
+        :meth:`add_service`.
+        """
         if spec.name in self.services or spec.name in self.background:
             raise ValueError(f"service {spec.name!r} already added")
-        metrics = ServiceMetrics(spec.name, spec.qos_target)
+        metrics = ServiceMetrics(spec.name, spec.qos_target, reservoir=reservoir)
         governor = self._make_governor(spec)
         self.serverless.register(spec, metrics=metrics, limit=limit, overload=governor)
         surfaces = self._build_surfaces(spec, load_max=2.0 * trace.peak_rate)
@@ -358,8 +363,7 @@ class AmoebaRuntime:
         the stop boundary: every arrival must be terminal or still in
         flight, nothing lost, nothing double-counted.
         """
-        self.env.run(until=until)
-        self.invariants.check_horizon()
+        self.invariants.run(until)
 
     def service_usage(self, name: str) -> UsageSample:
         """Combined vendor-side usage of one managed service (IaaS + serverless)."""

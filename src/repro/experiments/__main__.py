@@ -25,77 +25,67 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
+from repro.experiments import ablations as A
 from repro.experiments import executor
 from repro.experiments import figures as F
-from repro.experiments import ablations as A
 from repro.experiments.cache import CACHE_ENV_VAR, DEFAULT_CACHE_ROOT, RunCache
+from repro.experiments.chaos import chaos_sweep
+from repro.experiments.dag import DAG_DAY, dag_sweep
+from repro.experiments.fleet import FLEET_DAY, fleet_sweep
+from repro.experiments.overload import overload_sweep
+from repro.experiments.portfolio import portfolio_figure
+from repro.experiments.report import FigureResult
+from repro.experiments.spot import SPOT_DAY, spot_sweep
 
 
-def _portfolio(**kw):
-    from repro.experiments.portfolio import portfolio_figure
+class Target(NamedTuple):
+    """One CLI target and the command-line options it receives."""
 
-    return portfolio_figure(**kw)
-
-
-def _chaos(**kw):
-    from repro.experiments.chaos import chaos_sweep
-
-    return chaos_sweep(**kw)
+    fn: Callable[..., FigureResult]
+    #: parsed options passed through as keyword arguments of ``fn``
+    options: Tuple[str, ...] = ()
+    #: the ``day`` passed when ``--day`` is not given
+    day: Optional[float] = None
 
 
-def _overload(**kw):
-    from repro.experiments.overload import overload_sweep
+_DAY_SEED = ("day", "seed")
+_SEED = ("seed",)
 
-    return overload_sweep(**kw)
-
-
-def _fleet(**kw):
-    from repro.experiments.fleet import fleet_sweep
-
-    return fleet_sweep(**kw)
-
-
-def _dag(**kw):
-    from repro.experiments.dag import dag_sweep
-
-    return dag_sweep(**kw)
-
-
-def _spot(**kw):
-    from repro.experiments.spot import spot_sweep
-
-    return spot_sweep(**kw)
-
-#: target name -> (callable, accepts day/seed kwargs)
-TARGETS = {
-    "table2": (lambda **kw: F.table2_setup(), False),
-    "table3": (lambda **kw: F.table3_benchmarks(), False),
-    "fig2": (F.fig2_iaas_utilization, True),
-    "fig3": (lambda **kw: F.fig3_peak_loads(seed=kw.get("seed", 0)), False),
-    "fig4": (lambda **kw: F.fig4_latency_breakdown(seed=kw.get("seed", 0)), False),
-    "fig8": (lambda **kw: F.fig8_meter_curves(seed=kw.get("seed", 7)), False),
-    "fig9": (lambda **kw: F.fig9_latency_surfaces(seed=kw.get("seed", 11)), False),
-    "fig10": (F.fig10_latency_cdf, True),
-    "fig11": (F.fig11_resource_usage, True),
-    "fig12": (F.fig12_switch_timeline, True),
-    "fig13": (F.fig13_usage_timeline, True),
-    "fig14": (F.fig14_nom_ablation, True),
-    "fig15": (F.fig15_discriminant_error, True),
-    "fig16": (F.fig16_nop_violations, True),
-    "sec7e": (F.sec7e_meter_overhead, True),
-    "cost": (F.cost_comparison, True),
-    "portfolio": (_portfolio, True),
-    "abl-guard": (A.ablate_guard, True),
-    "abl-period": (A.ablate_sample_period, True),
-    "abl-discriminant": (A.ablate_discriminant, True),
-    "abl-keepalive": (A.ablate_keep_alive, True),
-    "chaos": (_chaos, True),
-    "overload": (_overload, True),
-    "fleet": (_fleet, True),
-    "dag": (_dag, True),
-    "spot": (_spot, True),
+TARGETS: Dict[str, Target] = {
+    "table2": Target(F.table2_setup),
+    "table3": Target(F.table3_benchmarks),
+    "fig2": Target(F.fig2_iaas_utilization, _DAY_SEED, F.FIG_DAY),
+    "fig3": Target(F.fig3_peak_loads, _SEED),
+    "fig4": Target(F.fig4_latency_breakdown, _SEED),
+    "fig8": Target(F.fig8_meter_curves, _SEED),
+    "fig9": Target(F.fig9_latency_surfaces, _SEED),
+    "fig10": Target(F.fig10_latency_cdf, _DAY_SEED, F.FIG_DAY),
+    "fig11": Target(F.fig11_resource_usage, _DAY_SEED, F.FIG_DAY),
+    "fig12": Target(F.fig12_switch_timeline, _DAY_SEED, F.FIG_DAY),
+    "fig13": Target(F.fig13_usage_timeline, _DAY_SEED, F.FIG_DAY),
+    "fig14": Target(F.fig14_nom_ablation, _DAY_SEED, F.FIG_DAY),
+    "fig15": Target(F.fig15_discriminant_error, _DAY_SEED, F.FIG_DAY),
+    "fig16": Target(F.fig16_nop_violations, _DAY_SEED, F.FIG_DAY),
+    "sec7e": Target(F.sec7e_meter_overhead, _DAY_SEED, F.FIG_DAY),
+    "cost": Target(F.cost_comparison, _DAY_SEED, F.FIG_DAY),
+    "portfolio": Target(portfolio_figure, _DAY_SEED, F.FIG_DAY),
+    "abl-guard": Target(A.ablate_guard, _DAY_SEED, F.FIG_DAY),
+    "abl-period": Target(A.ablate_sample_period, _DAY_SEED, F.FIG_DAY),
+    "abl-discriminant": Target(A.ablate_discriminant, _DAY_SEED, F.FIG_DAY),
+    "abl-keepalive": Target(A.ablate_keep_alive, _DAY_SEED, F.FIG_DAY),
+    "chaos": Target(chaos_sweep, _DAY_SEED, F.FIG_DAY),
+    "overload": Target(overload_sweep, _DAY_SEED, F.FIG_DAY),
+    "fleet": Target(fleet_sweep, _DAY_SEED + ("services", "daily_queries"), FLEET_DAY),
+    "dag": Target(dag_sweep, _DAY_SEED + ("depths",), DAG_DAY),
+    "spot": Target(spot_sweep, _DAY_SEED, SPOT_DAY),
 }
+
+
+def chain_depth(text: str) -> Tuple[int, ...]:
+    """``--depth N``: the dag sweep's ``depths`` holding the one depth N."""
+    return (int(text),)
 
 
 def main(argv=None) -> int:
@@ -106,12 +96,12 @@ def main(argv=None) -> int:
     parser.add_argument("target", help="figure id, 'list', or 'all'")
     parser.add_argument("--day", type=float, default=None,
                         help="compressed-day length in simulated seconds "
-                        f"(default {F.FIG_DAY:g}; fleet defaults to its own "
-                        "shorter day)")
+                        f"(default {F.FIG_DAY:g}; fleet, dag and spot default "
+                        "to their own shorter days)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--services", type=int, default=100,
                         help="fleet size (fleet target only)")
-    parser.add_argument("--depth", type=int, default=None,
+    parser.add_argument("--depth", dest="depths", type=chain_depth, default=None,
                         help="single chain depth instead of the default "
                         "ablation depths (dag target only)")
     parser.add_argument("--daily-queries", type=float, default=5_000_000.0,
@@ -152,21 +142,10 @@ def main(argv=None) -> int:
         return 2
 
     for name in names:
-        fn, takes_day = TARGETS[name]
+        target = TARGETS[name]
         t0 = time.time()
-        kwargs = {"seed": args.seed}
-        if takes_day:
-            if args.day is not None:
-                kwargs["day"] = args.day
-            elif name not in ("fleet", "dag", "spot"):
-                kwargs["day"] = F.FIG_DAY
-            # fleet/dag/spot without --day use their own shorter defaults
-        if name == "fleet":
-            kwargs["services"] = args.services
-            kwargs["daily_queries"] = args.daily_queries
-        if name == "dag" and args.depth is not None:
-            kwargs["depths"] = (args.depth,)
-        result = fn(**kwargs)
+        values = dict(vars(args), day=args.day if args.day is not None else target.day)
+        result = target.fn(**{k: values[k] for k in target.options if values[k] is not None})
         print(result.text())
         if args.export:
             from repro.experiments.export import figure_to_csv, figure_to_json

@@ -12,11 +12,11 @@ pure data and results picklable, so graph runs ride the same
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core import AmoebaConfig
 from repro.graph import GraphRuntime, GraphScenario
-from repro.experiments.runner import RunResult, ServiceResult
+from repro.experiments.runner import RunResult, collect_service
 
 __all__ = ["run_graph"]
 
@@ -32,36 +32,10 @@ def run_graph(
     gr.run()
     rt = gr.rt
 
-    services: Dict[str, ServiceResult] = {}
-    for name, managed in gr.services.items():
-        iaas_ledger = managed.iaas.ledger
-        sls_ledger = rt.serverless.function_ledger(name)
-        fs = rt.serverless.pool.state(name)
-        services[name] = ServiceResult(
-            spec=managed.spec,
-            metrics=managed.metrics,
-            usage=rt.service_usage(name),
-            cpu_timelines=[
-                (iaas_ledger.cpu_timeline.times(), iaas_ledger.cpu_timeline.values()),
-                (sls_ledger.cpu_timeline.times(), sls_ledger.cpu_timeline.values()),
-            ],
-            mem_timelines=[
-                (iaas_ledger.mem_timeline.times(), iaas_ledger.mem_timeline.values()),
-                (sls_ledger.mem_timeline.times(), sls_ledger.mem_timeline.values()),
-            ],
-            mode_timeline=[(t, m.value) for t, m in managed.engine.mode_timeline],
-            switch_events=[(t, m.value, load) for t, m, load in managed.engine.switch_events],
-            decisions=list(managed.controller.decisions),
-            usage_iaas=iaas_ledger.snapshot(),
-            usage_serverless=sls_ledger.snapshot(),
-            serverless_invocations=fs.completions,
-            serverless_busy_seconds=fs.busy_seconds,
-            container_memory_mb=rt.serverless.config.container_memory_mb,
-            queue_depth_timelines=[
-                (fs.queue_depth.times(), fs.queue_depth.values()),
-                (managed.iaas.queue_depth.times(), managed.iaas.queue_depth.values()),
-            ],
-        )
+    services = {
+        name: collect_service(m.spec, m.metrics, m.iaas, rt.serverless, m.engine, m.controller)
+        for name, m in gr.services.items()
+    }
     return RunResult(
         system="graph",
         duration=scenario.duration,

@@ -6,11 +6,14 @@
 
 All three return a :class:`RunResult` holding, per service, the shared
 telemetry plus integrated vendor-side usage and the timelines the figure
-regenerators need.
+regenerators need, built by :func:`collect_service`.  Every run ends
+with the invariant monitor's horizon conservation check.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -21,18 +24,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.graph import GraphSummary
     from repro.serverless import ServerlessConfig
 
-from repro.cluster import UsageSample
-from repro.core import AmoebaConfig, AmoebaRuntime
-from repro.core.controller import ControllerDecision
-from repro.iaas import IaaSPlatform
+from repro.cluster import UsageLedger, UsageSample
+from repro.core import AmoebaConfig, AmoebaRuntime, InvariantMonitor
+from repro.core.controller import ControllerDecision, DeploymentController
+from repro.core.engine import HybridExecutionEngine
+from repro.iaas import IaaSPlatform, IaaSService
 from repro.serverless import ServerlessPlatform
-from repro.sim import Environment, RngRegistry
+from repro.sim import Environment, RngRegistry, TimeSeries
 from repro.telemetry import ServiceMetrics
 from repro.workloads import AmbientTenants, LoadGenerator, MicroserviceSpec
 from repro.experiments.metrics import FaultSummary, OverloadSummary, resample_zoh
 from repro.experiments.scenarios import Scenario
 
-__all__ = ["RunResult", "ServiceResult", "run_amoeba", "run_nameko", "run_openwhisk"]
+__all__ = ["RunResult", "ServiceResult", "collect_service", "run_amoeba", "run_nameko", "run_openwhisk"]
 
 
 @dataclass
@@ -119,17 +123,56 @@ class RunResult:
         return self.services[scenario.foreground.name]
 
 
-def _scenario_metrics(spec: MicroserviceSpec, scenario: Scenario) -> ServiceMetrics:
-    """Per-service metrics honouring the scenario's reservoir sizing."""
-    if scenario.reservoir is not None:
-        return ServiceMetrics(spec.name, spec.qos_target, reservoir=scenario.reservoir)
-    return ServiceMetrics(spec.name, spec.qos_target)
+def _timeline(series: TimeSeries) -> Tuple[np.ndarray, np.ndarray]:
+    return series.times(), series.values()
 
 
-def _ledger_timeline(ledger) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    cpu = (ledger.cpu_timeline.times(), ledger.cpu_timeline.values())
-    mem = (ledger.mem_timeline.times(), ledger.mem_timeline.values())
-    return cpu, mem
+def collect_service(
+    spec: MicroserviceSpec,
+    metrics: ServiceMetrics,
+    iaas: Optional[IaaSService] = None,
+    serverless: Optional[ServerlessPlatform] = None,
+    engine: Optional[HybridExecutionEngine] = None,
+    controller: Optional[DeploymentController] = None,
+) -> ServiceResult:
+    """One service's result, read from whichever platform objects served it.
+
+    Every system is billed by this code.  Usage sums the present ledgers
+    in the order IaaS, serverless, spot, as ``AmoebaRuntime.service_usage``
+    does; timelines, queue depths and billing come from the same ledgers.
+    """
+    ledgers: Dict[str, UsageLedger] = {}
+    if iaas is not None:
+        ledgers["iaas"] = iaas.ledger
+    if serverless is not None:
+        ledgers["serverless"] = serverless.function_ledger(spec.name)
+    if iaas is not None and iaas.spot_ledger is not None:
+        ledgers["spot"] = iaas.spot_ledger
+    usages = {key: ledger.snapshot() for key, ledger in ledgers.items()}
+    result = ServiceResult(
+        spec=spec,
+        metrics=metrics,
+        usage=functools.reduce(operator.add, usages.values()),
+        cpu_timelines=[_timeline(ledger.cpu_timeline) for ledger in ledgers.values()],
+        mem_timelines=[_timeline(ledger.mem_timeline) for ledger in ledgers.values()],
+        usage_iaas=usages.get("iaas"),
+        usage_serverless=usages.get("serverless"),
+        usage_iaas_spot=usages.get("spot"),
+    )
+    if serverless is not None:
+        fs = serverless.pool.state(spec.name)
+        result.serverless_invocations = fs.completions
+        result.serverless_busy_seconds = fs.busy_seconds
+        result.container_memory_mb = serverless.config.container_memory_mb
+        result.queue_depth_timelines.append(_timeline(fs.queue_depth))
+    if iaas is not None:
+        result.queue_depth_timelines.append(_timeline(iaas.queue_depth))
+    if engine is not None:
+        result.mode_timeline = [(t, m.value) for t, m in engine.mode_timeline]
+        result.switch_events = [(t, m.value, load) for t, m, load in engine.switch_events]
+    if controller is not None:
+        result.decisions = list(controller.decisions)
+    return result
 
 
 def run_amoeba(
@@ -163,7 +206,7 @@ def run_amoeba(
     if scenario.ambient:
         AmbientTenants(rt.env, rt.serverless.machine, dict(scenario.ambient), rt.rng)
     for spec, trace, limit in scenario.background:
-        rt.add_background(spec, trace, limit=limit)
+        rt.add_background(spec, trace, limit=limit, reservoir=scenario.reservoir)
     fg = rt.add_service(
         scenario.foreground,
         scenario.trace,
@@ -174,53 +217,13 @@ def run_amoeba(
     )
     rt.run(until=scenario.duration)
 
-    services: Dict[str, ServiceResult] = {}
-    name = scenario.foreground.name
-    iaas_cpu, iaas_mem = _ledger_timeline(fg.iaas.ledger)
-    sls_ledger = rt.serverless.function_ledger(name)
-    sls_cpu, sls_mem = _ledger_timeline(sls_ledger)
-    fg_state = rt.serverless.pool.state(name)
-    cpu_timelines = [iaas_cpu, sls_cpu]
-    mem_timelines = [iaas_mem, sls_mem]
-    spot_ledger = fg.iaas.spot_ledger
-    if spot_ledger is not None:
-        spot_cpu, spot_mem = _ledger_timeline(spot_ledger)
-        cpu_timelines.append(spot_cpu)
-        mem_timelines.append(spot_mem)
-    services[name] = ServiceResult(
-        spec=scenario.foreground,
-        metrics=fg.metrics,
-        usage=rt.service_usage(name),
-        cpu_timelines=cpu_timelines,
-        mem_timelines=mem_timelines,
-        mode_timeline=[(t, m.value) for t, m in fg.engine.mode_timeline],
-        switch_events=[(t, m.value, load) for t, m, load in fg.engine.switch_events],
-        decisions=list(fg.controller.decisions),
-        usage_iaas=fg.iaas.ledger.snapshot(),
-        usage_serverless=sls_ledger.snapshot(),
-        usage_iaas_spot=spot_ledger.snapshot() if spot_ledger is not None else None,
-        serverless_invocations=fg_state.completions,
-        serverless_busy_seconds=fg_state.busy_seconds,
-        container_memory_mb=rt.serverless.config.container_memory_mb,
-        queue_depth_timelines=[
-            (fg_state.queue_depth.times(), fg_state.queue_depth.values()),
-            (fg.iaas.queue_depth.times(), fg.iaas.queue_depth.values()),
-        ],
-    )
-    for bg_name, bg in rt.background.items():
-        ledger = rt.serverless.function_ledger(bg_name)
-        cpu, mem = _ledger_timeline(ledger)
-        bg_state = rt.serverless.pool.state(bg_name)
-        services[bg_name] = ServiceResult(
-            spec=bg.spec,
-            metrics=bg.metrics,
-            usage=ledger.snapshot(),
-            cpu_timelines=[cpu],
-            mem_timelines=[mem],
-            queue_depth_timelines=[
-                (bg_state.queue_depth.times(), bg_state.queue_depth.values())
-            ],
+    services = {
+        scenario.foreground.name: collect_service(
+            fg.spec, fg.metrics, fg.iaas, rt.serverless, fg.engine, fg.controller
         )
+    }
+    for bg_name, bg in rt.background.items():
+        services[bg_name] = collect_service(bg.spec, bg.metrics, serverless=rt.serverless)
     fault_summary: Optional[FaultSummary] = None
     if rt.faults is not None:
         stats = rt.faults.stats
@@ -254,7 +257,7 @@ def run_amoeba(
             breaker_closes=breaker.closes if breaker is not None else 0,
             breaker_state=breaker.state.value if breaker is not None else "disabled",
             breaker_transitions=tuple(breaker.transitions) if breaker is not None else (),
-            peak_queue_depth_serverless=fg_state.peak_queue_depth,
+            peak_queue_depth_serverless=rt.serverless.pool.state(fg.spec.name).peak_queue_depth,
             peak_queue_depth_iaas=fg.iaas.peak_queue_depth,
             brownout_periods=fg.controller.brownout_periods,
             preemptions=dict(fg.metrics.preemptions),
@@ -280,22 +283,15 @@ def run_nameko(scenario: Scenario, seed: Optional[int] = None) -> RunResult:
     """
     env = Environment()
     rng = RngRegistry(seed=seed if seed is not None else scenario.seed)
+    monitor = InvariantMonitor(env)
     platform = IaaSPlatform(env, rng)
     spec = scenario.foreground
-    metrics = _scenario_metrics(spec, scenario)
+    metrics = ServiceMetrics(spec.name, spec.qos_target, reservoir=scenario.reservoir)
     svc = platform.deploy(spec, peak_rate=scenario.trace.peak_rate, metrics=metrics)
+    monitor.register(spec.name, metrics, lambda: svc.in_flight)
     LoadGenerator(env, spec.name, scenario.trace, platform.invoke, rng)
-    env.run(until=scenario.duration)
-    cpu, mem = _ledger_timeline(svc.ledger)
-    result = ServiceResult(
-        spec=spec,
-        metrics=metrics,
-        usage=svc.ledger.snapshot(),
-        cpu_timelines=[cpu],
-        mem_timelines=[mem],
-        usage_iaas=svc.ledger.snapshot(),
-        queue_depth_timelines=[(svc.queue_depth.times(), svc.queue_depth.values())],
-    )
+    monitor.run(until=scenario.duration)
+    result = collect_service(spec, metrics, iaas=svc)
     return RunResult(system="nameko", duration=scenario.duration, services={spec.name: result})
 
 
@@ -311,37 +307,26 @@ def run_openwhisk(
     """
     env = Environment()
     rng = RngRegistry(seed=seed if seed is not None else scenario.seed)
+    monitor = InvariantMonitor(env)
     platform = ServerlessPlatform(env, rng, config=config)
     if scenario.ambient:
         AmbientTenants(env, platform.machine, dict(scenario.ambient), rng)
     registry: Dict[str, Tuple[MicroserviceSpec, ServiceMetrics]] = {}
 
     def add(spec: MicroserviceSpec, trace, limit):
-        metrics = _scenario_metrics(spec, scenario)
+        metrics = ServiceMetrics(spec.name, spec.qos_target, reservoir=scenario.reservoir)
         platform.register(spec, metrics=metrics, limit=limit)
+        fs = platform.pool.state(spec.name)
+        monitor.register(spec.name, metrics, lambda: fs.user_in_flight)
         LoadGenerator(env, spec.name, trace, platform.invoke, rng)
         registry[spec.name] = (spec, metrics)
 
     for bg_spec, bg_trace, bg_limit in scenario.background:
         add(bg_spec, bg_trace, bg_limit)
     add(scenario.foreground, scenario.trace, scenario.limit)
-    env.run(until=scenario.duration)
-
-    services: Dict[str, ServiceResult] = {}
-    for name, (spec, metrics) in registry.items():
-        ledger = platform.function_ledger(name)
-        cpu, mem = _ledger_timeline(ledger)
-        fs = platform.pool.state(name)
-        services[name] = ServiceResult(
-            spec=spec,
-            metrics=metrics,
-            usage=ledger.snapshot(),
-            cpu_timelines=[cpu],
-            mem_timelines=[mem],
-            usage_serverless=ledger.snapshot(),
-            serverless_invocations=fs.completions,
-            serverless_busy_seconds=fs.busy_seconds,
-            container_memory_mb=platform.config.container_memory_mb,
-            queue_depth_timelines=[(fs.queue_depth.times(), fs.queue_depth.values())],
-        )
+    monitor.run(until=scenario.duration)
+    services = {
+        name: collect_service(spec, metrics, serverless=platform)
+        for name, (spec, metrics) in registry.items()
+    }
     return RunResult(system="openwhisk", duration=scenario.duration, services=services)

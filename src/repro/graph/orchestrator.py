@@ -185,7 +185,7 @@ class CallGraphOrchestrator:
         reason = self.retry.give_up_reason(attempts, remaining, attempt_cost)
         metrics = self.services[node].metrics
         if reason is None:
-            metrics.record_retry("attempted")
+            metrics.retries.add("attempted")
             self.stats.retries_by_node[node] = self.stats.retries_by_node.get(node, 0) + 1
             backoff = self.retry.backoff_s * attempts
             self.env.schedule_callback(backoff, lambda: self._retry(node, state, via))
@@ -194,7 +194,7 @@ class CallGraphOrchestrator:
         if attempts > 1 or reason != "exhausted":
             # "exhausted" after a single allowed attempt is just a
             # no-retry policy doing nothing; don't count it as give-up
-            metrics.record_retry(reason)
+            metrics.retries.add(reason)
         self._fail_request(node, state)
 
     def _retry(self, node: str, state: _RequestState, via: Optional[GraphEdge]) -> None:

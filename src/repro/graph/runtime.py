@@ -26,7 +26,7 @@ from repro.core.runtime import ManagedService
 from repro.graph.budget import downstream_reservation, node_costs, node_qos_targets
 from repro.graph.orchestrator import CallGraphOrchestrator
 from repro.graph.scenario import GraphScenario, GraphSummary
-from repro.telemetry import RETRY_KINDS
+from repro.telemetry import RETRY_KINDS, CounterFamily
 from repro.workloads import BurstTrace, ConstantTrace, LoadGenerator
 
 __all__ = ["GraphRuntime"]
@@ -103,10 +103,8 @@ class GraphRuntime:
     def summary(self) -> GraphSummary:
         """End-to-end accounting after :meth:`run`."""
         stats = self.orchestrator.stats
-        retries = {kind: 0 for kind in RETRY_KINDS}
-        for managed in self.services.values():
-            for kind, count in managed.metrics.retries.items():
-                retries[kind] += count
+        nodes = self.services.values()
+        retries = sum((m.metrics.retries for m in nodes), CounterFamily("retry kind", RETRY_KINDS))
         return GraphSummary(
             e2e_target=self.scenario.e2e_target,
             offered=stats.offered,
@@ -115,6 +113,6 @@ class GraphRuntime:
             failed=stats.failed,
             latencies=tuple(stats.latencies),
             failed_by_node=dict(stats.failed_by_node),
-            retries=retries,
+            retries=dict(retries),
             backpressure_sheds=dict(stats.backpressure_sheds),
         )

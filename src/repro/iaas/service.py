@@ -286,7 +286,7 @@ class IaaSService:
         graceful = spot.graceful and spot.notice_s > 0.0
         notice = spot.notice_s if graceful else 0.0
         if graceful and self.metrics is not None:
-            self.metrics.record_preemption("noticed")
+            self.metrics.preemptions.add("noticed")
         # the replacement starts booting at the notice, not the deadline
         self.env.process(self._replacement_boot())
         if self.on_preemption is not None:
@@ -327,7 +327,7 @@ class IaaSService:
         if victims > 0:
             self._kill_victims(victims)
         elif self.spot is not None and self.spot.graceful and self.metrics is not None:
-            self.metrics.record_preemption("drained")
+            self.metrics.preemptions.add("drained")
 
     def _kill_victims(self, count: int) -> None:
         """Kill the ``count`` most recently started executions.
@@ -347,7 +347,7 @@ class IaaSService:
             query.served_by = "iaas"
             if self.metrics is not None:
                 self.metrics.record_drop(query, "preempted")
-                self.metrics.record_preemption("killed_inflight")
+                self.metrics.preemptions.add("killed_inflight")
             query.notify_done()
             self.in_flight -= 1
         self._maybe_release()
@@ -378,7 +378,7 @@ class IaaSService:
                 self._held_cores += missing_cores
                 self._held_memory_mb += missing_mem
         if self.metrics is not None:
-            self.metrics.record_preemption("replaced")
+            self.metrics.preemptions.add("replaced")
 
     # -- serving ----------------------------------------------------------------
     def invoke(self, query: Query) -> None:

@@ -431,7 +431,7 @@ class ContainerPool:
         if query.attempts <= plan.max_query_retries:
             self.faults.stats.query_retries += 1
             if fs.metrics is not None:
-                fs.metrics.record_retry("attempted")
+                fs.metrics.retries.add("attempted")
             backoff = plan.retry_backoff_s * query.attempts
             self.env.schedule_callback(max(backoff, 1e-6), lambda: self.submit(query))
         else:
@@ -440,7 +440,7 @@ class ContainerPool:
             query.t_complete = self.env.now
             query.served_by = "serverless"
             if fs.metrics is not None:
-                fs.metrics.record_retry("exhausted")
+                fs.metrics.retries.add("exhausted")
                 fs.metrics.record_drop(query, "crash")
             if fs.overload is not None and not query.canary:
                 fs.overload.note_outcome(False, self.env.now)

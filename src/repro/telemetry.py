@@ -11,7 +11,7 @@ the same bookkeeping regardless of deployment mode.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "DROP_REASONS",
     "PREEMPTION_KINDS",
     "RETRY_KINDS",
+    "CounterFamily",
     "LoadEstimator",
     "ServiceMetrics",
 ]
@@ -43,6 +44,46 @@ RETRY_KINDS = ("attempted", "exhausted", "deadline_abandoned")
 #: ``killed_inflight`` (a query died on the reclaimed share — one count
 #: per query), ``replaced`` (an on-demand replacement restored capacity)
 PREEMPTION_KINDS = ("noticed", "drained", "killed_inflight", "replaced")
+
+
+class CounterFamily(Mapping[str, int]):
+    """A fixed set of named counters, e.g. ``drops{reason}``, read like a dict.
+
+    :meth:`add` refuses a key outside the family; ``a + b`` adds key by key.
+    """
+
+    __slots__ = ("label", "_counts")
+
+    def __init__(self, label: str, keys: Iterable[str]) -> None:
+        self.label = label
+        self._counts: Dict[str, int] = dict.fromkeys(keys, 0)
+
+    def add(self, key: str, n: int = 1) -> None:
+        """Count ``n`` events under ``key``."""
+        if key not in self._counts:
+            raise ValueError(f"unknown {self.label} {key!r}")
+        self._counts[key] += n
+
+    @property
+    def total(self) -> int:
+        """Sum over the family."""
+        return sum(self._counts.values())
+
+    def __add__(self, other: Mapping[str, int]) -> "CounterFamily":
+        out = CounterFamily(self.label, self._counts)
+        out._counts.update(self._counts)
+        for key, n in other.items():
+            out.add(key, n)
+        return out
+
+    def __getitem__(self, key: str) -> int:
+        return self._counts[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._counts)
+
+    def __len__(self) -> int:
+        return len(self._counts)
 
 
 class LoadEstimator:
@@ -91,13 +132,14 @@ class ServiceMetrics:
     controller but must not count against the user-facing QoS.
     """
 
-    def __init__(self, service: str, qos_target: float, reservoir: int = 20000, seed: int = 1):
+    def __init__(self, service: str, qos_target: float, reservoir: Optional[int] = None, seed: int = 1):
         if qos_target <= 0:
             raise ValueError(f"qos_target must be positive, got {qos_target}")
         self.service = service
         self.qos_target = float(qos_target)
+        capacity = reservoir if reservoir is not None else 20000
         # explicitly seeded per-service reservoir, deterministic given `seed`
-        self.latencies = ReservoirSample(reservoir, rng=np.random.default_rng(seed))  # simlint: ignore[SIM002]
+        self.latencies = ReservoirSample(capacity, rng=np.random.default_rng(seed))  # simlint: ignore[SIM002]
         self.p95 = P2Quantile(0.95)
         self.stats = OnlineStats()
         self.completed = 0
@@ -111,19 +153,16 @@ class ServiceMetrics:
         self.recent: Deque[float] = deque(maxlen=128)
         #: sim time of the latest canary completion (stale-telemetry basis)
         self.last_canary_time: Optional[float] = None
-        #: the unified ``retries{kind}`` family: attempted (a retry was
-        #: issued), exhausted (attempt budget spent), deadline_abandoned
-        #: (deterministic deadline-aware give-up)
-        self.retries: Dict[str, int] = {kind: 0 for kind in RETRY_KINDS}
+        #: the ``retries{kind}`` family (:data:`RETRY_KINDS`)
+        self.retries = CounterFamily("retry kind", RETRY_KINDS)
         #: total dropped user queries (sum over :attr:`drops`)
         self.failed = 0
-        #: the unified ``dropped{reason}`` family: crash (retry
-        #: exhaustion), admission (rejected on arrival), shed (queue
-        #: wait blew the budget), breaker (brownout drop-tail)
-        self.drops: Dict[str, int] = {reason: 0 for reason in DROP_REASONS}
-        #: the unified ``preemptions{kind}`` family (spot reclamation):
-        #: noticed, drained, killed_inflight, replaced
-        self.preemptions: Dict[str, int] = {kind: 0 for kind in PREEMPTION_KINDS}
+        #: the ``dropped{reason}`` family (:data:`DROP_REASONS`): crash
+        #: (retry exhaustion), admission (rejected on arrival), shed (queue
+        #: wait blew the budget), breaker (brownout drop-tail), preempted
+        self.drops = CounterFamily("drop reason", DROP_REASONS)
+        #: the ``preemptions{kind}`` family (:data:`PREEMPTION_KINDS`)
+        self.preemptions = CounterFamily("preemption kind", PREEMPTION_KINDS)
 
     def record_arrival(self, t: float, canary: bool = False) -> None:
         """Register a query submission (canaries excluded from load)."""
@@ -170,44 +209,6 @@ class ServiceMetrics:
             except KeyError:
                 self.served_by[server] = 1
 
-    def record_retry(self, kind: str = "attempted") -> None:
-        """Count one retry event in the ``retries{kind}`` family.
-
-        ``attempted`` for every retry actually issued (crash-retry
-        resubmissions, graph edge retries), ``exhausted`` when a query is
-        abandoned because its attempt budget ran out, and
-        ``deadline_abandoned`` when a deadline-aware policy gives up
-        because the remaining end-to-end budget can no longer cover a
-        downstream attempt.
-        """
-        if kind not in self.retries:
-            raise ValueError(f"unknown retry kind {kind!r}")
-        self.retries[kind] += 1
-
-    @property
-    def total_retries(self) -> int:
-        """Sum over the ``retries{kind}`` family."""
-        return sum(self.retries.values())
-
-    def record_preemption(self, kind: str) -> None:
-        """Count one spot-reclamation event in the ``preemptions{kind}`` family.
-
-        ``noticed`` when the cloud delivers a reclamation warning,
-        ``drained`` when a graceful episode completes without killing
-        anything in flight, ``killed_inflight`` per query that dies on
-        the reclaimed share (those queries are also dropped with reason
-        ``preempted``), and ``replaced`` when the on-demand replacement
-        restores the lost capacity.
-        """
-        if kind not in self.preemptions:
-            raise ValueError(f"unknown preemption kind {kind!r}")
-        self.preemptions[kind] += 1
-
-    @property
-    def total_preemption_events(self) -> int:
-        """Sum over the ``preemptions{kind}`` family."""
-        return sum(self.preemptions.values())
-
     def record_drop(self, query: Query, reason: str) -> None:
         """Count one dropped user query in the ``dropped{reason}`` family.
 
@@ -219,11 +220,10 @@ class ServiceMetrics:
         shadow traffic must not pollute user-facing QoS, mirroring
         :meth:`record_completion`.
         """
-        if reason not in self.drops:
-            raise ValueError(f"unknown drop reason {reason!r}")
         if query.canary:
+            self.drops.add(reason, 0)  # validates the reason, counts nothing
             return
-        self.drops[reason] += 1
+        self.drops.add(reason)
         self.failed += 1
 
     def record_failure(self, query: Query) -> None:

@@ -1,8 +1,11 @@
 """Scenario runners: structure of results for all three systems."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core import AmoebaRuntime
 from repro.experiments.runner import run_amoeba, run_nameko, run_openwhisk
 from repro.experiments.scenarios import default_scenario
 
@@ -10,8 +13,10 @@ from repro.experiments.scenarios import default_scenario
 pytestmark = pytest.mark.slow
 
 
-# one small shared scenario per module: runners are the expensive part
-SCENARIO = default_scenario("float", day=900.0, seed=3)
+# one small shared scenario per module: runners are the expensive part;
+# the reservoir is above the default and above every service's
+# completion count, so it changes no output, only the capacity checked
+SCENARIO = replace(default_scenario("float", day=900.0, seed=3), reservoir=25_000)
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +48,25 @@ class TestAmoebaRun:
         for bg_spec, _t, _l in SCENARIO.background:
             assert bg_spec.name in amoeba_run.services
             assert amoeba_run.services[bg_spec.name].metrics.completed > 0
+        for sr in amoeba_run.services.values():
+            assert sr.metrics.latencies.capacity == SCENARIO.reservoir
+
+    def test_background_services_are_billed(self, monkeypatch):
+        """A co-tenant on the shared pool pays for its invocations."""
+        runtimes = []
+        run = AmoebaRuntime.run
+
+        def keep_runtime(rt, until):
+            runtimes.append(rt)
+            run(rt, until)
+
+        monkeypatch.setattr(AmoebaRuntime, "run", keep_runtime)
+        result = run_amoeba(default_scenario("float", day=300.0, seed=3))
+        (rt,) = runtimes
+        for name in rt.background:
+            sr = result.services[name]
+            assert sr.cost().total > 0
+            assert sr.serverless_invocations == rt.serverless.pool.state(name).completions > 0
 
     def test_meter_overheads_reported(self, amoeba_run):
         assert set(amoeba_run.meter_overheads) == {"meter_cpu", "meter_io", "meter_net"}
@@ -86,6 +110,8 @@ class TestOpenwhiskRun:
         fg = openwhisk_run.foreground(SCENARIO)
         assert fg.metrics.served_by.get("serverless", 0) == fg.metrics.completed
         assert fg.mode_timeline == []  # no engine involved
+        for sr in openwhisk_run.services.values():
+            assert sr.metrics.latencies.capacity == SCENARIO.reservoir
 
     def test_uses_fewer_cores_than_nameko(self, openwhisk_run, nameko_run):
         fo = openwhisk_run.foreground(SCENARIO)

@@ -26,6 +26,7 @@ from repro.experiments.spot import (
 )
 from repro.faults import FaultPlan
 from repro.overload import OverloadPolicy
+from repro.telemetry import ServiceMetrics
 
 
 def _latency_hex(result, name="matmul"):
@@ -170,21 +171,30 @@ class TestExecutorAttribution:
         assert "books off" in text
         assert out.invariant == "conservation" and out.service == "matmul"
 
-    def test_run_many_attributes_a_violating_run(self, monkeypatch):
-        def explode(request):
-            raise InvariantViolation(
-                "arrivals < terminals", invariant="conservation", service="matmul"
-            )
+    @pytest.mark.parametrize("system", ["amoeba", "nameko", "openwhisk"])
+    def test_run_many_attributes_a_violating_run(self, system, monkeypatch):
+        """Every system runs under the monitor: a lost completion is caught."""
+        record = ServiceMetrics.record_completion
+        lost = []
 
-        monkeypatch.setattr(executor, "execute_request", explode)
+        def lossy(metrics, query):
+            # the foreground ledger silently drops its first completion
+            if metrics.service == "matmul" and not query.canary and not lost:
+                lost.append(query)
+                return
+            record(metrics, query)
+
+        monkeypatch.setattr(ServiceMetrics, "record_completion", lossy)
         request = RunRequest(
-            system="amoeba", scenario=default_scenario("matmul", day=60.0, seed=9)
+            system=system, scenario=default_scenario("matmul", day=60.0, seed=9)
         )
         with pytest.raises(InvariantViolation) as caught:
             run_many([request], workers=1, cache=False)
+        assert lost
         assert "fingerprint" in str(caught.value)
-        assert "amoeba/matmul" in str(caught.value)
+        assert f"{system}/matmul" in str(caught.value)
         assert caught.value.invariant == "conservation"
+        assert caught.value.service == "matmul"
 
 
 def test_cli_spot_target(capsys):

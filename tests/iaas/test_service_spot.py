@@ -95,7 +95,7 @@ class TestZeroProbIsInert:
         drive(env, svc, ready, 50)
         env.run(until=600.0)
         assert not svc.preempted
-        assert metrics.total_preemption_events == 0
+        assert metrics.preemptions.total == 0
 
     def test_spot_rental_with_zero_prob_is_bit_identical_to_on_demand(self):
         def run(spot, plan):

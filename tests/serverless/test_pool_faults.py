@@ -79,7 +79,7 @@ class TestCrashFaults:
         assert q.t_complete is not None and not q.failed
         assert q.attempts == 1
         assert metrics.retries["attempted"] == 1
-        assert metrics.total_retries == 1
+        assert metrics.retries.total == 1
         assert metrics.completed == 1
         assert faults.stats.query_retries == 1
         assert faults.stats.queries_dropped == 0

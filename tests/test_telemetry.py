@@ -119,6 +119,35 @@ class TestServiceMetrics:
         assert m.load.total == 1
 
 
+class TestCounterFamilies:
+    def test_families_read_like_dicts(self):
+        m = ServiceMetrics("s", qos_target=1.0)
+        m.record_drop(make_query(1.0), "shed")
+        m.preemptions.add("noticed")
+        assert m.drops["shed"] == 1 and m.failed == 1
+        assert dict(m.preemptions) == {"noticed": 1, "drained": 0, "killed_inflight": 0, "replaced": 0}
+        assert sum(count for _, count in m.retries.items()) == m.retries.total == 0
+
+    def test_unknown_keys_are_rejected(self):
+        m = ServiceMetrics("s", qos_target=1.0)
+        with pytest.raises(ValueError, match="drop reason"):
+            m.record_drop(make_query(1.0, canary=True), "bogus")
+        with pytest.raises(ValueError, match="retry kind"):
+            m.retries.add("bogus")
+        with pytest.raises(ValueError, match="preemption kind"):
+            m.preemptions.add("bogus")
+        assert m.failed == 0
+
+    def test_families_add_key_by_key(self):
+        a, b = ServiceMetrics("a", qos_target=1.0), ServiceMetrics("b", qos_target=1.0)
+        a.retries.add("attempted", 2)
+        b.retries.add("attempted")
+        b.retries.add("exhausted")
+        both = a.retries + b.retries
+        assert dict(both) == {"attempted": 3, "exhausted": 1, "deadline_abandoned": 0}
+        assert a.retries.total == 2  # the operands are unchanged
+
+
 class TestLatencyPercentileHonesty:
     """Both sides of the reservoir capacity boundary, explicitly.
 
