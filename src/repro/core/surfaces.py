@@ -11,13 +11,19 @@ the platform too — a self-interference fixed point that
 
 As with the meter profiles, surfaces can be built analytically (instant,
 runtime default) or by measurement (mini-simulation per grid point; the
-Fig. 9 bench uses it, and a test checks the two agree).
+Fig. 9 bench uses it, and a test checks the two agree).  The analytic
+builder solves every cell of a set's three surfaces in one array
+iteration that repeats ``ContentionConfig.slowdown`` term for term, so
+each cell is bit-identical to a per-cell scalar loop.  Lookups are
+scalar: :meth:`LatencySurface.predict` runs once per controller decision
+and interpolates over plain-float copies of the grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -50,25 +56,65 @@ def service_time_fixed_point(
     Solves ``s = exec · slowdown(sens, external + own(s))`` where
     ``own(s)`` is the pressure of the service's own ``load·s`` concurrent
     executions.  Damped iteration; the pressure cap in the contention
-    config bounds the map, so it always converges.
+    config bounds the map, so it always converges.  A one-cell call into
+    the solver :func:`build_surface_set` uses for a whole grid.
     """
-    if load < 0:
-        raise ValueError(f"load must be >= 0, got {load}")
+    ext = np.array(external, dtype=float).reshape(3, 1)
+    loads = np.array([load], dtype=float)
+    return float(_solve_fixed_points(spec, ext, loads, capacities, contention, tol, max_iter)[0])
+
+
+def _solve_fixed_points(
+    spec: MicroserviceSpec,
+    external: np.ndarray,
+    loads: np.ndarray,
+    capacities: Tuple[float, float, float],
+    contention: ContentionConfig,
+    tol: float = 1e-9,
+    max_iter: int = 200,
+) -> np.ndarray:
+    """:func:`service_time_fixed_point` for every cell at once.
+
+    ``external`` has shape ``(3, n)`` and ``loads`` shape ``(n,)``.  Each
+    cell runs ``ContentionConfig.slowdown``'s arithmetic term for term and
+    in the same order, so every value is bit-identical to the scalar
+    iteration.  A cell leaves the working set with ``s_new`` once it
+    converges; cells still open after ``max_iter`` keep the damped ``s``.
+    """
+    if np.any(loads < 0):
+        raise ValueError(f"load must be >= 0, got {loads.min()}")
     d = spec.demand
-    per_query = (d.cpu / capacities[0], d.io_mbps / capacities[1], d.net_mbps / capacities[2])
-    s = spec.exec_time
+    # column vectors: each axis row scales by its own demand and sensitivity
+    per_query = np.array(
+        [d.cpu / capacities[0], d.io_mbps / capacities[1], d.net_mbps / capacities[2]]
+    ).reshape(3, 1)
+    sens = np.array(spec.sensitivity.as_tuple()).reshape(3, 1)
+    exec_time = spec.exec_time
+    lin, quad, knee, cap = contention.linear, contention.quad, contention.knee, contention.pressure_cap
+    co_overlap = 1.0 - contention.overlap
+    eps = tol * exec_time
+    out = np.empty(loads.size)
+    open_cells = np.arange(loads.size)
+    s = np.full(loads.size, exec_time)
     for _ in range(max_iter):
-        busy = load * s
-        p = (
-            external[0] + busy * per_query[0],
-            external[1] + busy * per_query[1],
-            external[2] + busy * per_query[2],
-        )
-        s_new = spec.exec_time * contention.slowdown(spec.sensitivity, p)
-        if abs(s_new - s) < tol * spec.exec_time:
-            return s_new
+        # rows are the cpu, io and net axes of ContentionConfig.slowdown
+        p = np.minimum(external + (loads * s) * per_query, cap)
+        e = np.maximum(p - knee, 0.0)
+        deg = sens * (lin * p + quad * e * e)
+        total = deg[0] + deg[1] + deg[2]  # slowdown()'s summation order
+        worst = deg.max(axis=0)
+        s_new = exec_time * (1.0 + worst + co_overlap * (total - worst))
+        done = np.abs(s_new - s) < eps
+        if done.any():
+            out[open_cells[done]] = s_new[done]
+            left = ~done
+            open_cells, external, loads = open_cells[left], external[:, left], loads[left]
+            s, s_new = s[left], s_new[left]
+            if open_cells.size == 0:
+                return out
         s = 0.5 * (s + s_new)
-    return s
+    out[open_cells] = s
+    return out
 
 
 @dataclass(frozen=True)
@@ -80,6 +126,12 @@ class LatencySurface:
     pressures: np.ndarray
     loads: np.ndarray
     values: np.ndarray  # shape (len(pressures), len(loads))
+    # plain-float copies for predict(), which runs on every controller
+    # decision and feedback row: list indexing and bisect beat numpy
+    # scalar calls there, with the same arithmetic
+    _p: List[float] = field(init=False, repr=False, compare=False)
+    _v: List[float] = field(init=False, repr=False, compare=False)
+    _z: List[List[float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.pressures, dtype=float)
@@ -94,25 +146,26 @@ class LatencySurface:
         object.__setattr__(self, "pressures", p)
         object.__setattr__(self, "loads", v)
         object.__setattr__(self, "values", z)
+        object.__setattr__(self, "_p", p.tolist())
+        object.__setattr__(self, "_v", v.tolist())
+        object.__setattr__(self, "_z", z.tolist())
 
     def predict(self, pressure: float, load: float) -> float:
         """Bilinear interpolation, clamped to the profiled grid."""
-        p = float(np.clip(pressure, self.pressures[0], self.pressures[-1]))
-        v = float(np.clip(load, self.loads[0], self.loads[-1]))
-        i = int(np.searchsorted(self.pressures, p, side="right")) - 1
-        j = int(np.searchsorted(self.loads, v, side="right")) - 1
-        i = min(max(i, 0), self.pressures.size - 2)
-        j = min(max(j, 0), self.loads.size - 2)
-        p0, p1 = self.pressures[i], self.pressures[i + 1]
-        v0, v1 = self.loads[j], self.loads[j + 1]
+        ps, vs, z = self._p, self._v, self._z
+        p = min(max(float(pressure), ps[0]), ps[-1])
+        v = min(max(float(load), vs[0]), vs[-1])
+        i = min(max(bisect_right(ps, p) - 1, 0), len(ps) - 2)
+        j = min(max(bisect_right(vs, v) - 1, 0), len(vs) - 2)
+        p0, p1 = ps[i], ps[i + 1]
+        v0, v1 = vs[j], vs[j + 1]
         fp = (p - p0) / (p1 - p0)
         fv = (v - v0) / (v1 - v0)
-        z = self.values
-        return float(
-            z[i, j] * (1 - fp) * (1 - fv)
-            + z[i + 1, j] * fp * (1 - fv)
-            + z[i, j + 1] * (1 - fp) * fv
-            + z[i + 1, j + 1] * fp * fv
+        return (
+            z[i][j] * (1 - fp) * (1 - fv)
+            + z[i + 1][j] * fp * (1 - fv)
+            + z[i][j + 1] * (1 - fp) * fv
+            + z[i + 1][j + 1] * fp * fv
         )
 
 
@@ -174,19 +227,19 @@ def build_surface_set(
     # does not overshoot on the convex surface
     v_grid = load_max * (np.linspace(0.0, 1.0, load_points) ** 2)
 
-    surfaces = []
+    # every cell of the three axes in one solve: axis-major, then
+    # pressure, then load; each axis's pressure sits on its own row only
+    n_p, n_v = p_grid.size, v_grid.size
+    cells = n_p * n_v
+    external = np.zeros((3, 3 * cells))
     for axis in range(3):
-        z = np.empty((p_grid.size, v_grid.size))
-        for i, p in enumerate(p_grid):
-            ext = [0.0, 0.0, 0.0]
-            ext[axis] = float(p)
-            for j, v in enumerate(v_grid):
-                z[i, j] = service_time_fixed_point(
-                    spec, (ext[0], ext[1], ext[2]), float(v), capacities, contention
-                )
-        surfaces.append(
-            LatencySurface(service=spec.name, axis=axis, pressures=p_grid, loads=v_grid, values=z)
-        )
+        external[axis, axis * cells : (axis + 1) * cells] = np.repeat(p_grid, n_v)
+    loads = np.tile(v_grid, 3 * n_p)
+    z = _solve_fixed_points(spec, external, loads, capacities, contention).reshape(3, n_p, n_v)
+    surfaces = [
+        LatencySurface(service=spec.name, axis=axis, pressures=p_grid, loads=v_grid, values=z[axis])
+        for axis in range(3)
+    ]
     return SurfaceSet(
         service=spec.name,
         surfaces=(surfaces[0], surfaces[1], surfaces[2]),

@@ -16,7 +16,7 @@ from typing import Deque, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.overload import DROP_REASONS
-from repro.sim import OnlineStats, P2Quantile, ReservoirSample
+from repro.sim import ReservoirSample
 from repro.workloads import Query
 
 __all__ = [
@@ -140,8 +140,6 @@ class ServiceMetrics:
         capacity = reservoir if reservoir is not None else 20000
         # explicitly seeded per-service reservoir, deterministic given `seed`
         self.latencies = ReservoirSample(capacity, rng=np.random.default_rng(seed))  # simlint: ignore[SIM002]
-        self.p95 = P2Quantile(0.95)
-        self.stats = OnlineStats()
         self.completed = 0
         self.violations = 0
         self.breakdown_sums: Dict[str, float] = {s: 0.0 for s in STAGES}
@@ -190,8 +188,6 @@ class ServiceMetrics:
         self.completed += 1
         self.recent.append(processing)
         self.latencies.add(lat)
-        self.p95.add(lat)
-        self.stats.add(lat)
         if lat > self.qos_target:
             self.violations += 1
         # hot path (every completed query): walk the fixed stage tuple so
@@ -240,11 +236,6 @@ class ServiceMetrics:
         """QoS violation fraction counting dropped queries as violations."""
         total = self.completed + self.failed
         return (self.violations + self.failed) / total if total else 0.0
-
-    @property
-    def p95_estimate(self) -> float:
-        """Streaming 95%-ile latency estimate."""
-        return self.p95.value
 
     @property
     def latency_sample_exact(self) -> bool:

@@ -81,6 +81,42 @@ class TestLatencySurface:
         assert s.predict(-1.0, -5.0) == 1.0
         assert s.predict(9.0, 99.0) == 4.0
 
+    def test_predict_matches_numpy_reference(self):
+        """The plain-float lookup equals the numpy clip/searchsorted version bit for bit."""
+
+        def reference(s, pressure, load):
+            p = float(np.clip(pressure, s.pressures[0], s.pressures[-1]))
+            v = float(np.clip(load, s.loads[0], s.loads[-1]))
+            i = int(np.searchsorted(s.pressures, p, side="right")) - 1
+            j = int(np.searchsorted(s.loads, v, side="right")) - 1
+            i = min(max(i, 0), s.pressures.size - 2)
+            j = min(max(j, 0), s.loads.size - 2)
+            p0, p1 = s.pressures[i], s.pressures[i + 1]
+            v0, v1 = s.loads[j], s.loads[j + 1]
+            fp = (p - p0) / (p1 - p0)
+            fv = (v - v0) / (v1 - v0)
+            z = s.values
+            return float(
+                z[i, j] * (1 - fp) * (1 - fv)
+                + z[i + 1, j] * fp * (1 - fv)
+                + z[i, j + 1] * (1 - fp) * fv
+                + z[i + 1, j + 1] * fp * fv
+            )
+
+        rng = np.random.default_rng(5)
+        for name in ("float", "cloud_stor"):
+            for s in build_surface_set(benchmark(name)).surfaces:
+                # 10% beyond each end of both grids exercises the clamps;
+                # the grid nodes themselves hit the bisect boundaries
+                ps = rng.uniform(-0.1, 1.1, 300) * s.pressures[-1]
+                vs = rng.uniform(-0.1, 1.1, 300) * s.loads[-1]
+                points = list(zip(ps.tolist(), vs.tolist()))
+                points += [(p, v) for p in s.pressures.tolist() for v in s.loads.tolist()]
+                for p, v in points:
+                    got = s.predict(p, v)
+                    assert isinstance(got, float)
+                    assert got.hex() == reference(s, p, v).hex(), (name, s.axis, p, v)
+
     def test_validation(self):
         p = np.array([0.0, 1.0])
         v = np.array([0.0, 10.0])

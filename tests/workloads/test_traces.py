@@ -1,5 +1,7 @@
 """Load-shape generators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,19 @@ class TestDiurnalTrace:
         base = DiurnalTrace(peak_rate=10.0, noise_sigma=0.0)
         shifted = DiurnalTrace(peak_rate=10.0, noise_sigma=0.0, phase=3600.0)
         assert shifted.rate(17 * 3600.0) == pytest.approx(base.rate(18 * 3600.0))
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize("sigma", [0.0, 0.04, 0.3])
+    def test_noise_table_matches_numpy_recurrence(self, seed, sigma):
+        """The float-list AR(1) loop equals the numpy-scalar recurrence exactly."""
+        n, alpha = 1440, 0.9
+        innov = np.random.default_rng(seed).normal(0.0, sigma * math.sqrt(1 - alpha**2), size=n)
+        ar = np.empty(n)
+        ar[0] = 0.0
+        for i in range(1, n):
+            ar[i] = alpha * ar[i - 1] + innov[i]
+        t = DiurnalTrace(peak_rate=10.0, noise_sigma=sigma, seed=seed)
+        assert t._noise == np.exp(ar).tolist()
 
     def test_validation(self):
         with pytest.raises(ValueError):
