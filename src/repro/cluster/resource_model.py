@@ -264,9 +264,6 @@ class MachineModel:
         self.completed = 0
         # accounting taps
         self.cpu_in_use = TimeWeightedStats(env.now)
-        self.io_in_use = TimeWeightedStats(env.now)
-        self.net_in_use = TimeWeightedStats(env.now)
-        self.memory_stat = TimeWeightedStats(env.now)
         #: optional hook called after every active-set change with (t, pressures)
         self.on_pressure_change: Optional[Callable[[float, tuple[float, float, float]], None]] = None
 
@@ -402,20 +399,11 @@ class MachineModel:
             self.timer_arms += 1
         # accounting: a set() with an unchanged level is a mathematical
         # no-op for a piecewise-constant signal (the integral accrues
-        # lazily), so skip the call for axes that did not move
-        d = self._demand_totals
+        # lazily), so skip the call when the CPU demand did not move
+        cpu = self._demand_totals[0]
         s = self.cpu_in_use
-        if s._level != d[0]:
-            s.set(now, d[0])
-        s = self.io_in_use
-        if s._level != d[1]:
-            s.set(now, d[1])
-        s = self.net_in_use
-        if s._level != d[2]:
-            s.set(now, d[2])
-        s = self.memory_stat
-        if s._level != self._memory_in_use:
-            s.set(now, self._memory_in_use)
+        if s._level != cpu:
+            s.set(now, cpu)
         if self.on_pressure_change is not None:
             self.on_pressure_change(now, pressures)
 

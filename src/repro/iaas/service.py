@@ -17,15 +17,20 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Callable, Dict, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.cluster import ContentionConfig, DemandVector, MachineModel, SpotSpec, UsageLedger
 from repro.faults import FaultInjector, VMBootFailed
 from repro.iaas.sizing import RPC_OVERHEAD, SizingResult
 from repro.overload import OverloadGovernor
 from repro.sim import Environment, Event, Resource, RngRegistry, TimeSeries
+from repro.sim.events import Callback
 from repro.telemetry import ServiceMetrics
 from repro.workloads import MicroserviceSpec, Query
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.resources import _Request
 
 __all__ = ["IaaSService", "ServiceState"]
 
@@ -74,6 +79,9 @@ class IaaSService:
             config=contention,
         )
         self.workers = Resource(env, capacity=sizing.workers)
+        self._exec_draw = rng.lognormal_sampler(
+            f"iaas-exec/{spec.name}", spec.exec_time, spec.exec_sigma
+        )
         self.state = ServiceState.STOPPED
         self.in_flight = 0
         self.completions = 0
@@ -333,7 +341,7 @@ class IaaSService:
         """Kill the ``count`` most recently started executions.
 
         Each victim is a terminal ``preempted`` drop at kill time; the
-        serving process later sees :attr:`Query.preempt_killed` and skips
+        serving chain later sees :attr:`Query.preempt_killed` and skips
         its own terminal accounting (the leftover machine work is the
         reclamation thrash the graceful path exists to avoid).
         """
@@ -404,7 +412,10 @@ class IaaSService:
                 self._drop(query, reason)
                 return
         self.in_flight += 1
-        self.env.process(self._serve(query))
+        # Nameko RPC dispatch overhead.  The query runs as a callback chain
+        # (this call, the worker grant, the machine's done event): a
+        # generator process would add a bootstrap event and a timeout
+        Callback(self.env, RPC_OVERHEAD, partial(self._claim_worker, query))
 
     def _drop(self, query: Query, reason: str) -> None:
         """Reject one arrival at dispatch (reason ``admission``/``breaker``)."""
@@ -419,11 +430,8 @@ class IaaSService:
             self.overload.note_rejection(reason, self.env.now)
         query.notify_done()
 
-    def _serve(self, query: Query):
-        spec = self.spec
-        gov = self.overload
-        # Nameko RPC dispatch overhead
-        yield self.env.timeout(RPC_OVERHEAD)
+    def _claim_worker(self, query: Query) -> None:
+        """The RPC overhead has passed: queue for a worker slot."""
         query.breakdown["proc"] = RPC_OVERHEAD
         req = self.workers.request()
         t_q = self.env.now
@@ -431,9 +439,16 @@ class IaaSService:
         self.queue_depth.record(t_q, float(depth))
         if depth > self.peak_queue_depth:
             self.peak_queue_depth = depth
-        yield req
-        self.queue_depth.record(self.env.now, float(self.workers.queue_length))
-        wait = self.env.now - t_q
+        assert req.callbacks is not None
+        req.callbacks.append(partial(self._start, query, t_q))
+
+    def _start(self, query: Query, t_q: float, req: "_Request") -> None:
+        """A worker slot was granted: shed the query or execute it."""
+        spec = self.spec
+        gov = self.overload
+        now = self.env.now
+        self.queue_depth.record(now, float(self.workers.queue_length))
+        wait = now - t_q
         query.breakdown["queue"] = wait
         if gov is not None and gov.should_shed(wait, target=query.local_budget(t_q)):
             # the query's accumulated queue wait already blew its budget:
@@ -441,20 +456,27 @@ class IaaSService:
             self.workers.release(req)
             self.shed += 1
             query.failed = True
-            query.t_complete = self.env.now
+            query.t_complete = now
             query.served_by = "iaas"
             if self.metrics is not None:
                 self.metrics.record_drop(query, "shed")
             if not query.canary:
-                gov.note_rejection("shed", self.env.now)
+                gov.note_rejection("shed", now)
             query.notify_done()
             self.in_flight -= 1
             self._maybe_release()
             return
-        work = self.rng.lognormal_around(f"iaas-exec/{spec.name}", spec.exec_time, spec.exec_sigma)
+        work = self._exec_draw()
         token = next(self._tokens)
         self._active[token] = query
-        exec_t = yield self.machine.execute(work, spec.demand, spec.sensitivity)
+        done = self.machine.execute(work, spec.demand, spec.sensitivity)
+        assert done.callbacks is not None
+        done.callbacks.append(partial(self._finish, query, req, token))
+
+    def _finish(self, query: Query, req: "_Request", token: int, done: Event) -> None:
+        """The contended execution finished: settle the query."""
+        spec = self.spec
+        gov = self.overload
         self._active.pop(token, None)
         self.workers.release(req)
         if query.preempt_killed:
@@ -462,7 +484,7 @@ class IaaSService:
             # the machine work that just finished was the ghost of the
             # killed execution
             return
-        query.breakdown["exec"] = exec_t
+        query.breakdown["exec"] = done._value
         query.t_complete = self.env.now
         query.served_by = "iaas"
         if self.metrics is not None:

@@ -54,7 +54,6 @@ class Environment:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._cancelled_pending = 0
-        self._active_process: Optional[Process] = None
 
     # -- clock -----------------------------------------------------------
     @property
@@ -81,11 +80,6 @@ class Environment:
     def live_size(self) -> int:
         """Heap entries that will actually be processed."""
         return len(self._heap) - self._cancelled_pending
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:

@@ -79,7 +79,6 @@ class Process(Event):
         # the former _resume/_step pair is a single method
         self._target = None
         env = self.env
-        prev, env._active_process = env._active_process, self
         try:
             if event._ok:
                 next_target = self._generator.send(event._value)
@@ -87,7 +86,6 @@ class Process(Event):
                 event.defuse()
                 next_target = self._generator.throw(event._value)
         except StopIteration as stop:
-            env._active_process = prev
             if self.callbacks:
                 self.succeed(stop.value)
             else:
@@ -103,11 +101,9 @@ class Process(Event):
                 self.callbacks = None
             return
         except BaseException as exc:
-            env._active_process = prev
             # the process died; propagate via this event so waiters see it
             self.fail(exc)
             return
-        env._active_process = prev
 
         if not isinstance(next_target, Event):
             raise TypeError(

@@ -17,11 +17,14 @@ components create their RNGs lazily.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict
+from typing import Any, Callable, Dict, Optional, Set
 
 import numpy as np
 
 __all__ = ["RngRegistry"]
+
+#: normal draws a lognormal sampler takes per refill of its block
+SAMPLER_BLOCK = 32
 
 
 class RngRegistry:
@@ -32,6 +35,8 @@ class RngRegistry:
             raise ValueError(f"seed must be non-negative, got {seed}")
         self._seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
+        #: names whose stream a lognormal sampler owns (kept out of _streams)
+        self._owned: Set[str] = set()
 
     @property
     def seed(self) -> int:
@@ -42,13 +47,17 @@ class RngRegistry:
         """Return the generator for ``name``, creating it on first use."""
         gen = self._streams.get(name)
         if gen is None:
-            # key the SeedSequence on a stable hash of the name so stream
-            # identity does not depend on creation order
-            key = zlib.crc32(name.encode("utf-8"))
-            seq = np.random.SeedSequence(entropy=self._seed, spawn_key=(key,))
-            gen = np.random.default_rng(seq)
-            self._streams[name] = gen
+            if name in self._owned:
+                raise RuntimeError(f"stream {name!r} is owned by a lognormal sampler")
+            gen = self._streams[name] = self._new_stream(name)
         return gen
+
+    def _new_stream(self, name: str) -> np.random.Generator:
+        # key the SeedSequence on a stable hash of the name so stream
+        # identity does not depend on creation order
+        key = zlib.crc32(name.encode("utf-8"))
+        seq = np.random.SeedSequence(entropy=self._seed, spawn_key=(key,))
+        return np.random.default_rng(seq)
 
     def exponential(self, name: str, mean: float) -> float:
         """One exponential draw with the given mean from stream ``name``."""
@@ -72,14 +81,31 @@ class RngRegistry:
         Hot paths call this once and keep the returned callable: each draw
         then skips the stream-name formatting and registry lookup while
         producing the bit-identical sequence ``lognormal_around`` would.
+
+        The sampler owns stream ``name`` and draws it in blocks of
+        :data:`SAMPLER_BLOCK` normals from the first call on (numpy's
+        ``Generator`` gives the same values in one array call as in that
+        many scalar ones); any other reader of ``name`` raises.  ``exp``
+        stays per element: a vectorised ``exp`` may round differently.
         """
         if median <= 0:
             raise ValueError(f"median must be positive, got {median}")
-        normal = self.stream(name).normal
+        if name in self._owned or name in self._streams:
+            raise RuntimeError(f"stream {name!r} already has a reader; a sampler must own it")
+        self._owned.add(name)
         exp = np.exp
+        # the stream is built on the first refill, so a sampler that never
+        # draws costs nothing; pending draws sit next-one-last for pop()
+        normal: Optional[Callable[..., Any]] = None
+        block: list[float] = []
 
         def draw() -> float:
-            return float(median * exp(normal(0.0, sigma)))
+            nonlocal normal
+            if not block:
+                if normal is None:
+                    normal = self._new_stream(name).normal
+                block.extend(reversed(normal(0.0, sigma, SAMPLER_BLOCK).tolist()))
+            return float(median * exp(block.pop()))
 
         return draw
 

@@ -1,10 +1,14 @@
 """IaaS service lifecycle and serving."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.iaas.platform import IaaSPlatform
 from repro.iaas.service import IaaSService, ServiceState
-from repro.iaas.sizing import size_service
+from repro.iaas.sizing import RPC_OVERHEAD, size_service
+from repro.overload import OverloadGovernor, OverloadPolicy
 from repro.sim.environment import Environment
 from repro.sim.rng import RngRegistry
 from repro.telemetry import ServiceMetrics
@@ -116,6 +120,65 @@ class TestServing:
         env.run(until=10.0)
         assert svc.completions == 2
         assert svc.state is ServiceState.STOPPED
+
+
+#: latency (``float.hex``) or ``"shed"`` of each query in
+#: :meth:`TestServingGolden.test_queued_and_shed_outcomes_are_pinned`
+GOLDEN_OUTCOMES = [
+    "0x1.3d48c7f5ea8fep-4", "0x1.6e212bea04e8cp-4", "0x1.bc0b039f436fep-4", "0x1.d5f53effc9814p-4",
+    "0x1.51fb151b3900cp-3", "0x1.763450e905c6bp-3", "0x1.b0a926ddcbb4ep-3", "0x1.e27eafc52a696p-3",
+    "shed", "shed", "0x1.b1975d0b98122p-3", "0x1.88a09202f4918p-3",
+    "shed", "0x1.2defb53220004p-3", "0x1.0476d53a4fbdcp-3", "0x1.7f2b6a3d4f428p-4",
+    "0x1.e9f3359643888p-4", "0x1.6525416d51284p-3", "0x1.83ae96db40df4p-3", "0x1.abb57759d46d4p-3",
+    "0x1.774d9fdaeec4cp-3", "0x1.dc1cc1e9feb18p-3", "shed", "0x1.c11d04c161c38p-3",
+    "shed", "0x1.e5ab27c228c28p-3", "0x1.9e99727a109c4p-3", "shed",
+    "0x1.9a834e2e6f9e0p-3", "0x1.9ac9c35e5a238p-3", "0x1.9a21f7fa6e370p-3", "0x1.23c1934226098p-3",
+    "0x1.c2e41673ba700p-3", "0x1.a730eaf9df3d8p-3", "0x1.ba55cf8c4fdd8p-3", "0x1.b154209177588p-3",
+    "shed", "0x1.cd448fb354440p-3", "0x1.59c4780d41730p-3", "0x1.d7715f9c9cca8p-3",
+]
+
+
+class TestServingGolden:
+    def test_queued_and_shed_outcomes_are_pinned(self):
+        # two worker slots at ~25 queries/s of capacity against ~25/s of
+        # Poisson arrivals: queries queue, and a tight wait budget sheds
+        # some of them, so every serving step shows in the outcomes
+        env = Environment()
+        spec = benchmark("float")
+        sizing = dataclasses.replace(size_service(spec, 30.0), workers=2)
+        policy = OverloadPolicy(
+            admission_control=False, breaker_enabled=False, queue_wait_budget=0.5
+        )
+        mu = 1.0 / (spec.exec_time + RPC_OVERHEAD)
+        gov = OverloadGovernor(policy, qos_target=spec.qos_target, mu_serverless=mu, mu_iaas=mu)
+        svc = IaaSService(env, spec, sizing, RngRegistry(seed=21), overload=gov)
+        svc.deploy(instant=True)
+        queries = []
+        t = 0.0
+        for i, gap in enumerate(np.random.default_rng(5).exponential(0.04, size=40).tolist()):
+            t += gap
+            q = Query(qid=i, service=spec.name, t_submit=t)
+            queries.append(q)
+            env.schedule_callback(t, lambda q=q: svc.invoke(q))
+        env.run()
+        outcomes = ["shed" if q.failed else q.latency.hex() for q in queries]
+        assert outcomes == GOLDEN_OUTCOMES
+        assert svc.shed == 7 and svc.peak_queue_depth == 6
+        assert svc.in_flight == 0 and svc.completions == 33
+
+    def test_uncontended_query_schedules_four_events(self):
+        # RPC overhead, worker grant, machine completion timer and the
+        # machine's done event; nothing else touches the heap
+        env = Environment()
+        spec = benchmark("float")
+        svc = IaaSService(env, spec, size_service(spec, 30.0), RngRegistry(seed=1234))
+        svc.deploy(instant=True)
+        before = env.scheduled_total
+        q = Query(qid=0, service=spec.name, t_submit=env.now)
+        svc.invoke(q)
+        env.run()
+        assert env.scheduled_total - before == 4
+        assert q.latency.hex() == "0x1.79b76e1f00c6ep-4"
 
 
 class TestUtilization:

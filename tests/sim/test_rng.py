@@ -85,3 +85,42 @@ def test_fork_is_deterministic_and_independent():
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert not np.array_equal(a1, parent)
+
+
+@pytest.mark.parametrize("median, sigma", [(1.0, 0.15), (0.05, 0.3), (2.0, 0.0)])
+def test_lognormal_sampler_matches_scalar_draws(median, sigma):
+    # 100 draws cross three block refills and end inside a partial block
+    draw = RngRegistry(seed=42).lognormal_sampler("s", median, sigma)
+    got = [draw().hex() for _ in range(100)]
+    gen = RngRegistry(seed=42).stream("s")
+    want = [float(median * np.exp(gen.normal(0.0, sigma))).hex() for _ in range(100)]
+    assert got == want
+
+
+def test_lognormal_sampler_owns_its_stream():
+    reg = RngRegistry(seed=0)
+    reg.lognormal_sampler("owned", 1.0, 0.1)
+    with pytest.raises(RuntimeError):
+        reg.stream("owned")
+    with pytest.raises(RuntimeError):
+        reg.lognormal_around("owned", 1.0, 0.1)
+    with pytest.raises(RuntimeError):
+        reg.lognormal_sampler("owned", 1.0, 0.1)
+    # unowned names are untouched by the guard
+    reg.stream("free")
+    reg.lognormal_around("other", 1.0, 0.1)
+    reg.lognormal_sampler("another", 1.0, 0.1)()
+
+
+def test_lognormal_sampler_refuses_a_stream_already_handed_out():
+    reg = RngRegistry(seed=0)
+    reg.stream("shared")
+    with pytest.raises(RuntimeError):
+        reg.lognormal_sampler("shared", 1.0, 0.1)
+
+
+def test_lognormal_sampler_validation_claims_nothing():
+    reg = RngRegistry(seed=0)
+    with pytest.raises(ValueError):
+        reg.lognormal_sampler("bad", 0.0, 0.1)
+    reg.stream("bad")  # the refused sampler did not take the name
