@@ -2,11 +2,13 @@
 # The single development gate: every PR must pass this locally and in CI.
 #
 #   1. simlint — the repo's own whole-program analyzer: sim-kernel
-#                invariants SIM001..SIM017 plus the ARCH001..ARCH004
+#                invariants SIM001..SIM018 plus the ARCH001..ARCH004
 #                import-graph layering rules (DESIGN.md §7 and §12) over
 #                src/ + tests/ + benchmarks/; a stale ignore directive
-#                (SIM016) is an error.  Always runs; pure stdlib, so
-#                there is no environment where it can't.
+#                (SIM016) is an error, and SIM018 flags a no-argument
+#                .uniform() draw or a bound .uniform in src/ (the same
+#                value as .random() at about 4.6x the call cost).  Always runs; pure stdlib,
+#                so there is no environment where it can't.
 #   2. mypy    — strict typing on repro.sim / repro.core /
 #                repro.serverless / repro.overload (config in
 #                pyproject.toml).  Skipped with a warning when mypy is

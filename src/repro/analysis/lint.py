@@ -59,7 +59,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
         description=(
-            "Check simulation-kernel invariants (SIM001..SIM017) and "
+            "Check simulation-kernel invariants (SIM001..SIM018) and "
             "architecture layering (ARCH001..ARCH004)."
         ),
     )

@@ -121,6 +121,16 @@ RULES: Tuple[Rule, ...] = (
         "measures) — bound attempts against a budget (see "
         "graph.RetryPolicy) and compare recursion against a depth cap",
     ),
+    Rule(
+        "SIM018",
+        "no-argument .uniform() draw on a stream",
+        "Generator.uniform() with no arguments returns exactly what "
+        ".random() returns (the same [0, 1) double from the same stream "
+        "position) at about 4.6x the call cost; per-candidate and "
+        "per-query Bernoulli rolls run millions of times a day, so draw "
+        "them with .random() (a bound `roll = gen.uniform` is flagged "
+        "too, since its later calls hide the missing arguments)",
+    ),
 )
 
 RULE_IDS: Set[str] = {rule.id for rule in RULES}
@@ -271,6 +281,8 @@ class InvariantVisitor(ast.NodeVisitor):
         self._class_depth = 0
         #: module-level fault-probability constants {name -> def line} (SIM009)
         self._fault_prob_consts: Dict[str, int] = {}
+        #: ids of `.uniform` attribute nodes that are called in place (SIM018)
+        self._called_uniform: Set[int] = set()
 
     # -- helpers -----------------------------------------------------------
     def _report(self, node: ast.AST, rule_id: str, message: str) -> None:
@@ -309,7 +321,7 @@ class InvariantVisitor(ast.NodeVisitor):
                     self._aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
         self.generic_visit(node)
 
-    # -- SIM001 / SIM002 / SIM004 (calls) ----------------------------------
+    # -- SIM001 / SIM002 / SIM004 / SIM018 (calls) -------------------------
     def visit_Call(self, node: ast.Call) -> None:
         canonical = self._canonical(_dotted_name(node.func))
         if canonical is not None:
@@ -331,9 +343,32 @@ class InvariantVisitor(ast.NodeVisitor):
                     "stream (registry.stream(<name>)) so one root seed reproduces "
                     "every sequence",
                 )
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "uniform":
+            self._called_uniform.add(id(func))
+            if not node.args and not node.keywords:
+                self._report(
+                    node,
+                    "SIM018",
+                    ".uniform() with no arguments is .random() at about 4.6x the cost; "
+                    "call .random() for the same [0, 1) draw",
+                )
         self._check_cancelled_use(node)
         if self._executor_rules_apply:
             self._check_executor_submission(node)
+        self.generic_visit(node)
+
+    # -- SIM018 (bound .uniform) --------------------------------------------
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        # `roll = gen.uniform` binds the method for later no-argument calls,
+        # which the call check above cannot see through
+        if node.attr == "uniform" and isinstance(node.ctx, ast.Load) and id(node) not in self._called_uniform:
+            self._report(
+                node,
+                "SIM018",
+                ".uniform bound for later calls; bind .random for [0, 1) rolls "
+                "(same draw at a fraction of the cost) or call .uniform(low, high) directly",
+            )
         self.generic_visit(node)
 
     # -- SIM011 (unpicklable executor submissions) -------------------------

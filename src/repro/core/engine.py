@@ -106,7 +106,7 @@ class HybridExecutionEngine:
         self.iaas.invoke(query)
         # shadow a sample to the serverless platform for feedback
         if self.config.canary_fraction > 0 and (
-            self._canary_stream.uniform() < self.config.canary_fraction
+            self._canary_stream.random() < self.config.canary_fraction
         ):
             self._canary_ids += 1
             shadow = Query(

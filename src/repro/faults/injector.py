@@ -83,7 +83,7 @@ class FaultInjector:
         """One Bernoulli decision; draws only when the fault is enabled."""
         if prob <= 0.0:
             return False
-        return bool(self.rng.stream(stream).uniform() < prob)
+        return self.rng.stream(stream).random() < prob
 
     # -- serverless containers ---------------------------------------------
     def cold_start_fails(self, service: str) -> bool:

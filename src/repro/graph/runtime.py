@@ -92,9 +92,11 @@ class GraphRuntime:
             # rectangular burst overloads a rental sized for the nominal
             # trace, tripping that node's breaker mid-graph
             burst = BurstTrace(ConstantTrace(0.0), [(b.t_start, b.t_end - b.t_start, b.rate)])
-            LoadGenerator(
-                self.rt.env, b.node, burst, self.services[b.node].engine.route, self.rt.rng
-            )
+            # the root's own generator owns arrivals/<root>; any other
+            # node's arrivals stream is free for the burst
+            stream = f"brownout/{b.node}" if b.node == root else None
+            route = self.services[b.node].engine.route
+            LoadGenerator(self.rt.env, b.node, burst, route, self.rt.rng, stream=stream)
 
     def run(self) -> None:
         """Advance the simulation through the scenario's duration."""

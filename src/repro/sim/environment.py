@@ -54,12 +54,25 @@ class Environment:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._cancelled_pending = 0
+        self._horizon = self._now
 
     # -- clock -----------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    @property
+    def horizon(self) -> float:
+        """Time at which the :meth:`run` in progress stops.
+
+        Its ``until`` time (an event at exactly that time is left for the
+        next run), ``inf`` while it runs until an event fires or the heap
+        drains, and :attr:`now` outside :meth:`run`.  A component that
+        works ahead of the clock can stop at the horizon, so it does no
+        work for instants this run will not reach.
+        """
+        return self._horizon
 
     # -- scheduling observability ------------------------------------------
     @property
@@ -180,6 +193,7 @@ class Environment:
                           value is returned.
         """
         stop_value: Any = None
+        horizon = float("inf")
         if until is None:
             stop_event: Optional[Event] = None
         elif isinstance(until, Event):
@@ -205,6 +219,7 @@ class Environment:
         # exactly (cancelled entries discarded without advancing the clock).
         heap = self._heap
         pop = heapq.heappop
+        self._horizon = horizon
         try:
             while True:
                 if not heap:
@@ -223,6 +238,8 @@ class Environment:
         except EmptySchedule:
             if isinstance(until, Event) and not until._processed:
                 raise RuntimeError("run() ran out of events before `until` triggered") from None
+        finally:
+            self._horizon = self._now
         return stop_value
 
     @staticmethod

@@ -235,6 +235,29 @@ class Callback(Event):
         env._seq += 1
         heapq.heappush(env._heap, (env._now + delay, priority, env._seq, self))
 
+    @classmethod
+    def at(cls, env: "Environment", when: float, fn: Callable[[], None]) -> "Callback":
+        """Run ``fn()`` at absolute simulated time ``when``.
+
+        The heap entry holds ``when`` itself: going through the delay form,
+        ``now + (when - now)``, can round to a neighbouring float.
+        """
+        if when < env._now:
+            raise ValueError(f"callback at {when} is in the past (now={env._now})")
+        self = cls.__new__(cls)
+        self.env = env
+        self.callbacks = None
+        self._ok = True
+        self._triggered = True
+        self._processed = False
+        self._defused = False
+        self._cancelled = False
+        self._value = None
+        self._fn = fn
+        env._seq += 1
+        heapq.heappush(env._heap, (when, 1, env._seq, self))
+        return self
+
     def _run_callbacks(self) -> None:
         self._processed = True
         self._fn()

@@ -35,7 +35,7 @@ class RngRegistry:
             raise ValueError(f"seed must be non-negative, got {seed}")
         self._seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
-        #: names whose stream a lognormal sampler owns (kept out of _streams)
+        #: names whose stream has one owning reader (kept out of _streams)
         self._owned: Set[str] = set()
 
     @property
@@ -48,9 +48,27 @@ class RngRegistry:
         gen = self._streams.get(name)
         if gen is None:
             if name in self._owned:
-                raise RuntimeError(f"stream {name!r} is owned by a lognormal sampler")
+                raise RuntimeError(f"stream {name!r} is owned; only its owner may read it")
             gen = self._streams[name] = self._new_stream(name)
         return gen
+
+    def owned_stream(self, name: str) -> np.random.Generator:
+        """A generator for ``name`` whose caller is its only reader.
+
+        Once owned, ``stream(name)``, :meth:`lognormal_around` and any
+        second owner of ``name`` raise, and owning a name that
+        :meth:`stream` already handed out raises too.  An owner may
+        therefore draw ahead of the simulated clock (a lognormal sampler
+        draws in blocks, a load generator plans its next arrival): no
+        other component's draws can interleave with its own.
+        """
+        self._claim(name)
+        return self._new_stream(name)
+
+    def _claim(self, name: str) -> None:
+        if name in self._owned or name in self._streams:
+            raise RuntimeError(f"stream {name!r} already has a reader; an owned stream has no other")
+        self._owned.add(name)
 
     def _new_stream(self, name: str) -> np.random.Generator:
         # key the SeedSequence on a stable hash of the name so stream
@@ -82,17 +100,15 @@ class RngRegistry:
         then skips the stream-name formatting and registry lookup while
         producing the bit-identical sequence ``lognormal_around`` would.
 
-        The sampler owns stream ``name`` and draws it in blocks of
-        :data:`SAMPLER_BLOCK` normals from the first call on (numpy's
-        ``Generator`` gives the same values in one array call as in that
-        many scalar ones); any other reader of ``name`` raises.  ``exp``
-        stays per element: a vectorised ``exp`` may round differently.
+        The sampler owns stream ``name`` (see :meth:`owned_stream`) and
+        draws it in blocks of :data:`SAMPLER_BLOCK` normals from the first
+        call on (numpy's ``Generator`` gives the same values in one array
+        call as in that many scalar ones).  ``exp`` stays per element: a
+        vectorised ``exp`` may round differently.
         """
         if median <= 0:
             raise ValueError(f"median must be positive, got {median}")
-        if name in self._owned or name in self._streams:
-            raise RuntimeError(f"stream {name!r} already has a reader; a sampler must own it")
-        self._owned.add(name)
+        self._claim(name)
         exp = np.exp
         # the stream is built on the first refill, so a sampler that never
         # draws costs nothing; pending draws sit next-one-last for pop()

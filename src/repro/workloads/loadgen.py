@@ -8,6 +8,14 @@ as queue growth — the effect the discriminant function exists to predict.
 
 Thinning (Lewis & Shedler) against the trace's ``peak_rate`` keeps the
 non-homogeneous process exact without integrating the rate function.
+Candidates come from the dominating homogeneous process and are accepted
+with probability ``rate(t) / peak_rate``.  Every trace is a pure function
+of ``t`` and the generator owns its stream, so it decides candidates
+ahead of the clock: after each accepted arrival it draws on to the next
+accepted one and puts only that on the heap.  Rejected candidates never
+become kernel events.  It looks no further than the horizon of the
+running ``env.run``, so it draws and asks the trace exactly what one
+event per candidate would.
 """
 
 from __future__ import annotations
@@ -20,7 +28,12 @@ from repro.sim import Environment, Event, RngRegistry
 from repro.sim.events import Callback
 from repro.workloads.traces import Trace
 
-__all__ = ["LoadGenerator", "Query"]
+__all__ = ["LoadGenerator", "Query", "REJECTION_CAP"]
+
+#: consecutive rejected candidates one planning pass draws before it hands
+#: back to the kernel with a continuation event, so a trace that stays at
+#: zero (a brownout's base) costs one event per cap, not an endless loop
+REJECTION_CAP = 64
 
 
 @dataclass
@@ -97,8 +110,11 @@ class LoadGenerator:
         Called with each new :class:`Query`; expected to route it into a
         deployment (fire-and-forget — completion is the platform's job).
     rng:
-        Randomness registry; the generator uses stream
-        ``"arrivals/<service>"``.
+        Randomness registry.
+    stream:
+        Name of the stream the generator owns; ``"arrivals/<service>"``
+        by default.  A second generator for the same service needs its
+        own name.
     """
 
     def __init__(
@@ -108,41 +124,71 @@ class LoadGenerator:
         trace: Trace,
         submit: Callable[[Query], None],
         rng: RngRegistry,
+        stream: Optional[str] = None,
     ):
         self.env = env
         self.service = service
         self.trace = trace
         self.submit = submit
-        self._rng = rng.stream(f"arrivals/{service}")
+        gen = rng.owned_stream(stream if stream is not None else f"arrivals/{service}")
         self._ids = itertools.count()
         self.generated = 0
-        # the generator is a self-rescheduling callback, not a process: one
-        # kernel event per candidate arrival instead of an event plus a
-        # generator resume.  ``_next`` is the pending candidate's event so
-        # stop() can cancel it outright (no stale timers after shutdown).
+        # the pending accepted arrival, candidate or continuation, so
+        # stop() can cancel it outright (no stale timers after shutdown)
         self._next: Optional[Event] = None
         rate_max = trace.peak_rate
         if rate_max > 0:
             self._rate_max = rate_max
             self._mean_gap = 1.0 / rate_max
-            self._exponential = self._rng.exponential
-            self._uniform = self._rng.uniform
+            self._exponential = gen.exponential
+            # random() is uniform() on [0, 1) at a fraction of the call cost
+            self._random = gen.random
             self._trace_rate = trace.rate
             self._next_id = self._ids.__next__
-            # candidate arrivals come from the dominating homogeneous
-            # process; the first gap is drawn here, which is the same
-            # stream position the process bootstrap drew it from
-            self._next = Callback(env, float(self._exponential(self._mean_gap)), self._tick)
+            self._plan()
 
-    def _tick(self) -> None:
-        # thinning: accept with probability rate(t) / rate_max
+    def _plan(self) -> None:
+        """Draw candidates from now on; schedule the first one accepted.
+
+        Gap and thinning draws alternate on the stream as they would with
+        one event per candidate, and each candidate's time is the previous
+        one's plus its gap.  The accepted time goes on the heap as is
+        (``Callback.at``), so ``t_submit`` is that sum to the last bit.
+        After :data:`REJECTION_CAP` rejections in a row, a continuation at
+        the last rejected time resumes the loop.  A candidate at or past
+        the running ``env.run``'s horizon is scheduled untested: the trace
+        is only asked about instants the run reaches, as with one event
+        per candidate.
+        """
         env = self.env
-        if self._uniform() * self._rate_max <= self._trace_rate(env.now):
-            q = Query(qid=self._next_id(), service=self.service, t_submit=env.now)
-            self.generated += 1
-            self.submit(q)
+        exponential, mean_gap = self._exponential, self._mean_gap
+        random, rate_max, rate = self._random, self._rate_max, self._trace_rate
+        t = env.now
+        horizon = env.horizon
+        for _ in range(REJECTION_CAP):
+            t += exponential(mean_gap)
+            if t >= horizon:
+                self._next = Callback.at(env, t, self._candidate)
+                return
+            # thinning: accept with probability rate(t) / rate_max
+            if random() * rate_max <= rate(t):
+                self._next = Callback.at(env, t, self._arrive)
+                return
+        self._next = Callback.at(env, t, self._plan)
+
+    def _candidate(self) -> None:
+        # a candidate drawn past an earlier run's horizon, thinned now
+        if self._random() * self._rate_max <= self._trace_rate(self.env.now):
+            self._arrive()
+        else:
+            self._plan()
+
+    def _arrive(self) -> None:
+        q = Query(qid=self._next_id(), service=self.service, t_submit=self.env.now)
+        self.generated += 1
+        self.submit(q)
         if self._next is not None:  # stop() during the submit cascade clears it
-            self._next = Callback(env, float(self._exponential(self._mean_gap)), self._tick)
+            self._plan()
 
     def stop(self) -> None:
         """Halt arrival generation (end of experiment)."""

@@ -61,7 +61,12 @@ class Trace:
     peak_rate: float
 
     def rate(self, t: float) -> float:  # pragma: no cover - interface
-        """Instantaneous arrival rate (queries/second) at time ``t``."""
+        """Instantaneous arrival rate (queries/second) at time ``t``.
+
+        Must be a pure function of ``t``: no state, no reads of the clock
+        or of controller state.  :class:`~repro.workloads.loadgen.LoadGenerator`
+        calls it for candidate instants ahead of the simulated clock.
+        """
         raise NotImplementedError
 
     def mean_rate(self, t0: float, t1: float, samples: int = 512) -> float:
@@ -187,16 +192,22 @@ class DiurnalTrace(Trace):
         return self.low_fraction + (1.0 - self.low_fraction) * bump
 
     def rate(self, t: float) -> float:
-        tod = (t + self.phase) % self.day
-        # _shape(tod) unrolled: rate() runs once per candidate arrival
-        h = 24.0 * tod / self.day
-        morning = self.morning_fraction * math.exp(-((h - 8.5) ** 2) / (2 * 1.6**2))
-        evening = math.exp(-((h - 18.0) ** 2) / (2 * 2.2**2))
-        bump = max(morning, evening)
-        shape = self.low_fraction + (1.0 - self.low_fraction) * bump
-        base = shape * self.peak_rate
-        idx = int(tod / self._noise_dt) % len(self._noise)
-        return float(min(base * self._noise[idx], self.peak_rate))
+        # _shape(tod) unrolled: rate() runs once per candidate arrival.  The
+        # conditionals pick what max(morning, evening) and min(r, peak)
+        # would, and every operand is already a Python float
+        day = self.day
+        exp = math.exp
+        tod = (t + self.phase) % day
+        h = 24.0 * tod / day
+        morning = self.morning_fraction * exp(-((h - 8.5) ** 2) / (2 * 1.6**2))
+        evening = exp(-((h - 18.0) ** 2) / (2 * 2.2**2))
+        bump = evening if evening > morning else morning
+        low = self.low_fraction
+        shape = low + (1.0 - low) * bump
+        peak = self.peak_rate
+        noise = self._noise
+        r = shape * peak * noise[int(tod / self._noise_dt) % len(noise)]
+        return peak if peak < r else r
 
 
 class SampledTrace(Trace):

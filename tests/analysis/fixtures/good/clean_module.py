@@ -30,6 +30,12 @@ def jitter(registry) -> float:
     return float(registry.stream("jitter").normal())
 
 
+def roll(registry, prob: float) -> bool:
+    # .random() for a [0, 1) roll; .uniform() only with explicit bounds
+    spread = registry.stream("spread").uniform(0.5, 1.5)
+    return registry.stream("roll").random() < prob * spread
+
+
 def replan(env, timer, delay: float):
     timer.cancel()
     timer = env.timeout(delay)

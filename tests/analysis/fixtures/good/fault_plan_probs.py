@@ -20,12 +20,10 @@ class ProbePlan:
 def maybe_crash(plan: ProbePlan, registry, service: str) -> bool:
     if plan.crash_prob <= 0.0:
         return False
-    return bool(registry.stream(f"faults/crash/{service}").uniform() < plan.crash_prob)
+    return registry.stream(f"faults/crash/{service}").random() < plan.crash_prob
 
 
 def maybe_reclaim(plan: ProbePlan, registry, service: str) -> bool:
     if plan.preemption_prob <= 0.0:
         return False
-    return bool(
-        registry.stream(f"faults/preemption/{service}").uniform() < plan.preemption_prob
-    )
+    return registry.stream(f"faults/preemption/{service}").random() < plan.preemption_prob

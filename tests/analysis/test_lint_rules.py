@@ -29,6 +29,7 @@ BAD_FIXTURES = {
     "SIM010": FIXTURES / "bad" / "serverless" / "sim010_unbounded_queue.py",
     "SIM011": FIXTURES / "bad" / "experiments" / "sim011_closure_submit.py",
     "SIM017": FIXTURES / "bad" / "graph" / "sim017_retry_storm.py",
+    "SIM018": FIXTURES / "bad" / "sim018_slow_uniform.py",
 }
 
 GOOD_FIXTURES = [
@@ -247,6 +248,31 @@ def test_depth_capped_recursion_is_clean():
 def test_time_comparison_against_string_is_not_flagged():
     source = "def f(mode_time: str) -> bool:\n    return mode_time == 'iaas'\n"
     assert lint_source(source, "mod.py") == []
+
+
+def test_slow_uniform_flags_only_the_no_argument_call():
+    source = (
+        "def f(stream, lo: float, hi: float) -> float:\n"
+        "    a = stream.uniform()\n"
+        "    b = stream.uniform(lo, hi) + stream.uniform(low=lo, high=hi)\n"
+        "    return a + b + stream.random()\n"
+    )
+    found = lint_source(source, "src/repro/core/engine.py")
+    assert [(v.rule_id, v.line) for v in found] == [("SIM018", 2)]
+
+
+def test_slow_uniform_flags_a_bound_method():
+    source = (
+        "class G:\n"
+        "    def __init__(self, stream) -> None:\n"
+        "        self._uniform = stream.uniform\n"
+        "        self._random = stream.random\n"
+        "\n"
+        "    def roll(self) -> float:\n"
+        "        return self._uniform() + self._random()\n"
+    )
+    found = lint_source(source, "src/repro/core/engine.py")
+    assert [(v.rule_id, v.line) for v in found] == [("SIM018", 3)]
 
 
 def test_cli_list_rules(capsys):

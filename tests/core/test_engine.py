@@ -66,6 +66,17 @@ class TestRouting:
         assert len(metrics.canary_latencies) > 5  # ~half shadowed
         assert metrics.completed == 60  # canaries not in user QoS
 
+    def test_canary_picks_are_pinned(self):
+        # one uniform [0, 1) draw per IaaS-routed query decides its shadow
+        cfg = AmoebaConfig(min_dwell=0.0, canary_fraction=0.3)
+        env, engine, _ = make_engine(config=cfg)
+        picks = []
+        for k in range(48):
+            before = engine._canary_ids
+            engine.route(Query(qid=k, service="float", t_submit=env.now))
+            picks.append("01"[engine._canary_ids > before])
+        assert "".join(picks) == "001110100000100001100111000101001000100100010001"
+
     def test_no_canaries_when_disabled(self):
         cfg = AmoebaConfig(min_dwell=0.0, canary_fraction=0.0)
         env, engine, metrics = make_engine(config=cfg)

@@ -41,6 +41,19 @@ class TestDeterminism:
         assert seq_a == seq_b
         assert any(seq_a) and not all(seq_a)
 
+    def test_decision_sequences_are_pinned(self):
+        # one uniform [0, 1) draw per roll, compared against the probability
+        crash, _ = make(FaultPlan(container_crash_prob=0.3), seed=11)
+        boot, _ = make(FaultPlan(cold_start_failure_prob=0.5), seed=3)
+        rolls = {
+            "crash": "".join("01"[crash.container_crashes("svc")] for _ in range(48)),
+            "coldstart": "".join("01"[boot.cold_start_fails("svc")] for _ in range(48)),
+        }
+        assert rolls == {
+            "crash": "010000000000101000011001000000010000000010100111",
+            "coldstart": "001111100011001101111111100000100001100100111110",
+        }
+
     def test_streams_are_named_per_fault_class_and_service(self):
         inj, rng = make(FaultPlan(container_crash_prob=0.3, cold_start_failure_prob=0.3))
         inj.container_crashes("a")

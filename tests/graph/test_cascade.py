@@ -78,6 +78,12 @@ class TestCascadeDeterminism:
         downstream = [k for k in g.backpressure_sheds if k.startswith(f"{mid}->")]
         assert all(g.backpressure_sheds[k] == 0 for k in downstream)
 
+    def test_depth1_root_offers_what_the_depth2_root_offers(self):
+        # the depth-1 brownout lands on the root; it draws its own stream
+        # instead of taking candidates from the root's arrival process
+        offered = {d: run_graph(dag_scenario(d, day=60.0)).graph.offered for d in (1, 2)}
+        assert offered[1] == offered[2]
+
 
 class TestSingleNodeFlatIdentity:
     def test_single_node_dag_is_bit_identical_to_the_flat_scenario(self):

@@ -53,6 +53,22 @@ def test_horizon_excludes_events_at_the_horizon_itself(env):
     assert fired == ["urgent", "normal"]
 
 
+def test_horizon_property_tracks_the_run_in_progress(env):
+    seen = []
+    env.schedule_callback(1.0, lambda: seen.append(env.horizon))
+    assert env.horizon == 0.0
+    env.run(until=5.0)
+    assert env.horizon == env.now == 5.0
+    ticket = env.event()
+    env.schedule_callback(1.0, lambda: seen.append(env.horizon))
+    env.schedule_callback(2.0, lambda: ticket.succeed())
+    env.run(until=ticket)
+    env.schedule_callback(1.0, lambda: seen.append(env.horizon))
+    env.run()
+    assert seen == [5.0, math.inf, math.inf]
+    assert env.horizon == env.now == 8.0
+
+
 def test_run_until_past_raises(env):
     env.timeout(10.0)
     env.run(until=8.0)

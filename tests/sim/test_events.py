@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.environment import Environment
-from repro.sim.events import AllOf, AnyOf, Event, EventAlreadyTriggered, Timeout
+from repro.sim.events import AllOf, AnyOf, Callback, Event, EventAlreadyTriggered, Timeout
 
 
 def test_event_starts_pending(env):
@@ -73,6 +73,24 @@ def test_timeout_fires_at_delay(env):
 def test_timeout_negative_delay_rejected(env):
     with pytest.raises(ValueError):
         Timeout(env, -1.0)
+
+
+def test_callback_at_fires_at_the_exact_absolute_time():
+    # now + (when - now) rounds to when's neighbour for this pair
+    now, when = 93.91491627785106, 381.20423768821246
+    assert now + (when - now) != when
+    env = Environment(initial_time=now)
+    fired = []
+    Callback.at(env, when, lambda: fired.append(env.now))
+    Callback.at(env, now, lambda: fired.append(env.now))
+    env.run()
+    assert fired == [now, when]
+
+
+def test_callback_at_in_the_past_rejected():
+    env = Environment(initial_time=5.0)
+    with pytest.raises(ValueError):
+        Callback.at(env, 4.999, lambda: None)
 
 
 def test_timeouts_fire_in_order(env):

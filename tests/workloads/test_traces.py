@@ -111,6 +111,25 @@ class TestDiurnalTrace:
         t = DiurnalTrace(peak_rate=10.0, noise_sigma=sigma, seed=seed)
         assert t._noise == np.exp(ar).tolist()
 
+    def test_rate_values_are_pinned(self):
+        # the §VII trace, and a noisy floorless one that clips at its peak
+        sec7 = DiurnalTrace(peak_rate=12.0, seed=7, day=7200.0, noise_sigma=0.05)
+        clipped = DiurnalTrace(
+            peak_rate=30.0, seed=9, noise_sigma=0.3, low_fraction=0.0, phase=500.0, day=3600.0
+        )
+        ts = [0.0, 0.37, 1234.5, 2550.0, 4999.9, 5400.0, 7199.99, 9000.25]
+        assert [sec7.rate(t).hex() for t in ts] == [
+            "0x1.ccccf95b65eabp+1", "0x1.ccccf98a337afp+1", "0x1.e1340cb71775ep+1",
+            "0x1.3c8449c77a3bap+3", "0x1.518c3706643c8p+3", "0x1.62bbc0b3055ecp+3",
+            "0x1.cca2edc35efb8p+1", "0x1.72b171cf7be04p+2",
+        ]
+        assert [clipped.rate(t).hex() for t in ts] == [
+            "0x1.2bad370f4d35dp-3", "0x1.2d2bff34affaep-3", "0x1.f21ec66bcedb3p+1",
+            "0x1.a8c6cb0e445e5p+3", "0x1.d4af50e39607dp+0", "0x1.e000000000000p+4",
+            "0x1.59e6e0f860b45p-3", "0x1.e000000000000p+4",
+        ]
+        assert all(type(sec7.rate(t)) is float for t in ts)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DiurnalTrace(peak_rate=0.0)
