@@ -69,8 +69,8 @@ RULES: Tuple[Rule, ...] = (
     Rule(
         "SIM006",
         "bare `except:` clause",
-        "swallowing BaseException hides StopSimulation/Interrupt control "
-        "flow and kernel bugs; catch the specific exception",
+        "swallowing BaseException hides StopSimulation control flow and "
+        "kernel bugs; catch the specific exception",
     ),
     Rule(
         "SIM007",
@@ -730,7 +730,7 @@ class InvariantVisitor(ast.NodeVisitor):
                 node,
                 "SIM006",
                 "bare 'except:' catches BaseException, including the kernel's "
-                "StopSimulation/Interrupt control flow — name the exception type",
+                "StopSimulation control flow — name the exception type",
             )
         self.generic_visit(node)
 

@@ -13,7 +13,8 @@ to top (imports everyone):
 Imports must flow strictly downward; two packages on the same layer may
 not import each other (that is how the ``workloads <-> core`` and
 ``workloads <-> serverless`` cycles crept in before this pass existed).
-DESIGN.md §12 maps each rule to the paper invariant it protects.
+``python -m repro.analysis.lint --list-rules`` prints each rule with the
+invariant it protects.
 """
 
 from __future__ import annotations

@@ -265,24 +265,3 @@ class DeploymentController:
             alpha=surfaces.alpha,
             bias=bias,
         )
-
-    # -- analysis helpers ---------------------------------------------------------
-    def lambda_max_series(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(times, λ(μ)) over the run — Fig. 15's predicted switch points."""
-        if not self.decisions:
-            return np.empty(0), np.empty(0)
-        t = np.array([d.time for d in self.decisions])
-        lm = np.array([d.lambda_max for d in self.decisions])
-        return t, lm
-
-    def switch_loads(self) -> List[Tuple[float, str, float]]:
-        """(time, direction, load) for every accepted switch (Fig. 12 stars)."""
-        return [
-            (
-                d.time,
-                "to_serverless" if d.switch_target is DeployMode.SERVERLESS else "to_iaas",
-                d.load,
-            )
-            for d in self.decisions
-            if d.switched
-        ]

@@ -27,7 +27,6 @@ Owns one microservice's two deployments and the route between them:
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from typing import Iterator, List, Optional, Tuple
 
 from repro.core.config import AmoebaConfig
@@ -78,8 +77,6 @@ class HybridExecutionEngine:
         self.last_switch_time = -float("inf")
         #: (time, mode) — Fig. 12's deploy-mode timeline
         self.mode_timeline: List[Tuple[float, DeployMode]] = [(env.now, initial_mode)]
-        #: flip timestamps, parallel to mode_timeline (bisect key)
-        self._timeline_times: List[float] = [env.now]
         #: (time, target mode, load at decision) — Fig. 12's star markers
         self.switch_events: List[Tuple[float, DeployMode, float]] = []
         #: (time, target mode, reason) — switches that timed out or died
@@ -219,7 +216,6 @@ class HybridExecutionEngine:
     def _flip(self, target: DeployMode) -> None:
         self.mode = target
         self.mode_timeline.append((self.env.now, target))
-        self._timeline_times.append(self.env.now)
         self.last_switch_time = self.env.now
         self.switching = False
 
@@ -317,23 +313,3 @@ class HybridExecutionEngine:
             return
         if self.iaas.state is ServiceState.RUNNING:
             self._drain_event = self.iaas.undeploy()
-
-    # -- observability -------------------------------------------------------------
-    def mode_at(self, t: float) -> DeployMode:
-        """Deploy mode that was active at time ``t`` (for the timelines)."""
-        idx = bisect_right(self._timeline_times, t) - 1
-        return self.mode_timeline[max(idx, 0)][1]
-
-    def serverless_time_fraction(self, t_end: float) -> float:
-        """Fraction of [0, t_end] spent in serverless mode."""
-        if t_end <= 0:
-            return 0.0
-        total = 0.0
-        timeline = self.mode_timeline
-        for i, (ts, m) in enumerate(timeline):
-            if ts >= t_end:
-                break
-            nxt = timeline[i + 1][0] if i + 1 < len(timeline) else t_end
-            if m is DeployMode.SERVERLESS:
-                total += min(nxt, t_end) - ts
-        return total / t_end

@@ -21,7 +21,7 @@ bit-identical to a run without the fault layer (gated in
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.faults.plan import FaultPlan
 from repro.sim import Environment, Event, RngRegistry
@@ -173,10 +173,3 @@ class FaultInjector:
                 ack.callbacks.append(_relay)
             return delayed
         return ack
-
-
-def maybe_injector(
-    plan: Optional[FaultPlan], rng: RngRegistry
-) -> Optional[FaultInjector]:
-    """An injector for ``plan``, or None when no plan was given."""
-    return None if plan is None else FaultInjector(plan, rng)

@@ -1,8 +1,8 @@
 """Call-graph workloads with cascade-failure resilience.
 
-A deterministic DAG workload family (chains, fan-out/fan-in, seeded
-layered graphs) over fully managed Amoeba services, plus the machinery
-that keeps a microservice graph safe under partial failure:
+A deterministic DAG workload family (chains and fan-out/fan-in) over
+fully managed Amoeba services, plus the machinery that keeps a
+microservice graph safe under partial failure:
 
 * :mod:`repro.graph.topology` — frozen DAG value objects and seeded
   builders with per-edge ``(seed, edge)`` RNG streams;
@@ -35,7 +35,6 @@ from repro.graph.topology import (
     chain_topology,
     edge_network_cost,
     fanout_topology,
-    layered_topology,
 )
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "downstream_reservation",
     "edge_network_cost",
     "fanout_topology",
-    "layered_topology",
     "node_costs",
     "node_qos_targets",
     "upstream_cost",

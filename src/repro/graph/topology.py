@@ -7,11 +7,11 @@ network cost, and a request completes when *all* nodes have served it
 objects so they can sit inside a frozen scenario and fingerprint into
 the run cache.
 
-Determinism contract: the seeded builders draw every structural choice
-and per-edge network cost from a dedicated ``(seed, index)``-keyed
-generator — the same idiom ``workloads.fleet`` uses for per-service
-streams — so topology ``k`` of seed ``s`` is bit-identical no matter
-how many other topologies were built first.
+Determinism contract: the seeded builders draw every per-edge network
+cost from a dedicated ``(seed, src, dst)``-keyed generator — the same
+idiom ``workloads.fleet`` uses for per-service streams — so a topology
+of seed ``s`` is bit-identical no matter how many other topologies were
+built first.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "chain_topology",
     "edge_network_cost",
     "fanout_topology",
-    "layered_topology",
 ]
 
 #: default per-hop RPC/network cost, seconds (same order as the Nameko
@@ -244,74 +243,4 @@ def fanout_topology(
         edges.append(GraphEdge(root.name, mid.name, cost))
         cost = network_s if seed is None else edge_network_cost(seed, i + 1, sink_index)
         edges.append(GraphEdge(mid.name, sink.name, cost))
-    return GraphTopology(nodes=nodes, edges=edges)
-
-
-def layered_topology(
-    seed: int,
-    depth: int,
-    width: int,
-    benchmarks: Tuple[str, ...] = ("matmul", "float"),
-) -> GraphTopology:
-    """A seeded layered DAG: 1 root, ``depth-2`` layers of ``width``, 1 sink.
-
-    Every structural draw (node benchmark, parent wiring) comes from a
-    per-node ``(seed, node_index)`` generator; per-edge network costs
-    from ``(seed, src, dst)`` — so the topology is a pure function of
-    its arguments.
-    """
-    if depth < 3:
-        raise ValueError(f"layered topology needs depth >= 3, got {depth}")
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    if not benchmarks:
-        raise ValueError("benchmarks must be non-empty")
-    # layer layout: [root] + (depth-2) x [width nodes] + [sink]
-    layers: List[List[int]] = [[0]]
-    idx = 1
-    for _ in range(depth - 2):
-        layers.append(list(range(idx, idx + width)))
-        idx += width
-    layers.append([idx])
-    n_total = idx + 1
-
-    def bench_of(i: int) -> str:
-        if i == 0 or i == n_total - 1:
-            return benchmarks[0]
-        rng = np.random.default_rng((seed, i))  # simlint: ignore[SIM002]
-        return benchmarks[int(rng.integers(len(benchmarks)))]
-
-    nodes = tuple(
-        GraphNode(f"{bench_of(i)}_L{i}" if i > 0 else bench_of(0), bench_of(i))
-        for i in range(n_total)
-    )
-    edges: List[GraphEdge] = []
-    wired: set = set()
-    for layer, members in enumerate(layers[1:], start=1):
-        prev = layers[layer - 1]
-        fed: set = set()
-        for i in members:
-            rng = np.random.default_rng((seed, i))  # simlint: ignore[SIM002]
-            n_parents = int(rng.integers(1, len(prev) + 1))
-            parents = sorted(int(p) for p in rng.choice(prev, size=n_parents, replace=False))
-            for p in parents:
-                if (p, i) not in wired:
-                    wired.add((p, i))
-                    edges.append(
-                        GraphEdge(nodes[p].name, nodes[i].name, edge_network_cost(seed, p, i))
-                    )
-                fed.add(p)
-        # every node of the previous layer must feed someone, or it would
-        # be a second sink; wire leftovers to a deterministic child
-        for p in prev:
-            if p not in fed:
-                rng = np.random.default_rng((seed, n_total + p))  # simlint: ignore[SIM002]
-                child = int(members[int(rng.integers(len(members)))])
-                if (p, child) not in wired:
-                    wired.add((p, child))
-                    edges.append(
-                        GraphEdge(
-                            nodes[p].name, nodes[child].name, edge_network_cost(seed, p, child)
-                        )
-                    )
     return GraphTopology(nodes=nodes, edges=edges)

@@ -495,14 +495,3 @@ class IaaSService:
         self.completions += 1
         self.in_flight -= 1
         self._maybe_release()
-
-    # -- observability -------------------------------------------------------------
-    @property
-    def utilization_cpu(self) -> float:
-        """Instantaneous CPU pressure inside the rental."""
-        return self.machine.pressures()[0]
-
-    def mean_cpu_utilization(self) -> float:
-        """Time-averaged consumed-cores / rented-cores since t0."""
-        used = self.machine.cpu_in_use.mean(self.env.now)
-        return used / self.sizing.rented_cores if used == used else 0.0

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster import NodeSpec
-
 __all__ = ["VMFlavor", "DEFAULT_FLAVOR"]
 
 
@@ -36,20 +34,6 @@ class VMFlavor:
                 raise ValueError(f"{attr} must be positive")
         if self.boot_sigma < 0:
             raise ValueError("boot_sigma must be >= 0")
-
-    @classmethod
-    def slice_of(cls, node: NodeSpec, cores: float, name: str = "custom") -> "VMFlavor":
-        """A flavor that is ``cores`` worth of ``node``, bandwidth pro-rata."""
-        if cores <= 0 or cores > node.cores:
-            raise ValueError(f"cores must be in (0, {node.cores}], got {cores}")
-        frac = cores / node.cores
-        return cls(
-            name=name,
-            cores=cores,
-            memory_mb=node.memory_mb * frac,
-            io_mbps=node.disk_mbps * frac,
-            net_mbps=node.net_mbps * frac,
-        )
 
 
 #: the default rental unit: a 4-core slice of the Table II node

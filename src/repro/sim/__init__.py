@@ -13,40 +13,27 @@ Design notes (see DESIGN.md §6):
 * All randomness flows through :class:`~repro.sim.rng.RngRegistry`, which
   hands out named, independently-seeded ``numpy.random.Generator``
   substreams so that experiments are bit-reproducible.
-* Statistics helpers (:mod:`repro.sim.stats`) provide bounded-memory
-  percentile estimation and time-weighted counters used by the resource
-  accounting ledgers.
+* Statistics helpers (:mod:`repro.sim.stats`) provide a fixed-size
+  latency reservoir, decimating time series and the time-weighted
+  counters used by the resource accounting ledgers.
 """
 
 from repro.sim.environment import Environment
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
-from repro.sim.stats import (
-    Histogram,
-    OnlineStats,
-    P2Quantile,
-    ReservoirSample,
-    TimeSeries,
-    TimeWeightedStats,
-)
+from repro.sim.stats import ReservoirSample, TimeSeries, TimeWeightedStats
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Environment",
     "Event",
-    "Histogram",
-    "Interrupt",
-    "OnlineStats",
-    "P2Quantile",
-    "PriorityResource",
     "Process",
     "ReservoirSample",
     "Resource",
     "RngRegistry",
-    "Store",
     "TimeSeries",
     "TimeWeightedStats",
     "Timeout",

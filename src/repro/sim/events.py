@@ -36,25 +36,12 @@ __all__ = [
     "ConditionEvent",
     "Event",
     "EventAlreadyTriggered",
-    "Interrupt",
     "Timeout",
 ]
 
 
 class EventAlreadyTriggered(RuntimeError):
     """Raised when ``succeed``/``fail`` is called on a non-pending event."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The ``cause`` is an arbitrary payload supplied by the interrupter
-    (e.g. a string reason or a richer object).
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:

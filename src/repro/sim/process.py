@@ -10,9 +10,9 @@ each other.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
@@ -23,15 +23,13 @@ __all__ = ["Process"]
 class Process(Event):
     """A running simulation process (also an event: fires on completion)."""
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator, name: Optional[str] = None) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"process() needs a generator, got {generator!r}")
         super().__init__(env)
         self._generator = generator
-        #: the event this process is currently waiting on (None when ready)
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         # bootstrap: resume on the next kernel step at the current time
         init = Event(env)
@@ -40,44 +38,10 @@ class Process(Event):
         assert init.callbacks is not None
         init.callbacks.append(self._resume)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting on an event detaches it from that event first.
-        """
-        if self._triggered:
-            raise RuntimeError(f"cannot interrupt finished process {self.name!r}")
-        exc = Interrupt(cause)
-        failer = Event(self.env)
-        failer._ok = False
-        failer._value = exc
-        failer._defused = True
-        self.env._enqueue(failer, 0.0, priority=0)
-        assert failer.callbacks is not None
-        failer.callbacks.append(self._resume_interrupt)
-
     # -- resumption machinery ---------------------------------------------
-    def _resume_interrupt(self, failer: Event) -> None:
-        if self._triggered:
-            return  # process finished between interrupt() and delivery
-        target, self._target = self._target, None
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - already detached
-                pass
-        self._resume(failer)
-
     def _resume(self, event: Event) -> None:
         # one frame per resume: this is the kernel's hottest callback, so
         # the former _resume/_step pair is a single method
-        self._target = None
         env = self.env
         try:
             if event._ok:
@@ -121,8 +85,6 @@ class Process(Event):
             env._enqueue(relay, 0.0, priority=0)
             assert relay.callbacks is not None
             relay.callbacks.append(self._resume)
-            self._target = relay
         else:
-            self._target = next_target
             assert next_target.callbacks is not None
             next_target.callbacks.append(self._resume)

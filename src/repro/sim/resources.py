@@ -1,35 +1,26 @@
-"""Shared-resource primitives: counting resources and object stores.
+"""Shared-resource primitive: a counting resource.
 
-These model the synchronization structures the platform simulators need:
+:class:`Resource` is a counting semaphore with a FIFO wait queue; the
+IaaS platform queues queries on it for a VM's worker slots.
 
-* :class:`Resource` — a counting semaphore with a FIFO wait queue
-  (e.g. a VM's worker slots).
-* :class:`PriorityResource` — like :class:`Resource` but the wait queue is
-  ordered by a caller-supplied priority (lower first), FIFO within a
-  priority level.
-* :class:`Store` — an unbounded (or capacity-bounded) FIFO buffer of
-  Python objects with blocking ``get``/``put`` (e.g. the serverless
-  front-end's invocation queue).
-
-Requests are events: a process does ``req = res.request(); yield req`` and
-later ``res.release(req)``.  Convenience context management is deliberately
+Requests are events: a caller does ``req = res.request()``, waits on it
+(a process yields it; the IaaS chain appends a callback) and later calls
+``res.release(req)``.  Convenience context management is deliberately
 omitted — explicit acquire/release keeps the simulators' lifecycles
 obvious.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
 
-__all__ = ["PriorityResource", "Resource", "Store"]
+__all__ = ["Resource"]
 
 
 class _Request(Event):
@@ -113,107 +104,3 @@ class Resource:
             nxt = self._queue.popleft()
             self._users.add(nxt)
             nxt.succeed(nxt)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose waiters are served lowest-priority-first."""
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._pqueue: list[tuple[float, int, _Request]] = []
-        self._tiebreak = itertools.count()
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._pqueue)
-
-    def request(self, priority: float = 0.0) -> _Request:  # type: ignore[override]
-        req = _Request(self.env, self)
-        if len(self._users) < self._capacity:
-            self._users.add(req)
-            req.succeed(req)
-        else:
-            heapq.heappush(self._pqueue, (priority, next(self._tiebreak), req))
-        return req
-
-    def release(self, request: _Request) -> None:  # type: ignore[override]
-        if request in self._users:
-            self._users.discard(request)
-            self._grant_next()
-        else:
-            for i, (_p, _t, queued) in enumerate(self._pqueue):
-                if queued is request:
-                    self._pqueue.pop(i)
-                    heapq.heapify(self._pqueue)
-                    return
-            raise RuntimeError("release() of a request this resource does not hold")
-
-    def _grant_next(self) -> None:
-        while self._pqueue and len(self._users) < self._capacity:
-            _p, _t, nxt = heapq.heappop(self._pqueue)
-            self._users.add(nxt)
-            nxt.succeed(nxt)
-
-
-class Store:
-    """FIFO object buffer with blocking get/put.
-
-    ``capacity`` bounds the number of buffered items (``inf`` by default).
-    ``get()`` returns an event that fires with the oldest item once one is
-    available; ``put(item)`` fires once there is room.
-    """
-
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple:
-        """Snapshot of buffered items (oldest first)."""
-        return tuple(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Insert ``item``; the event fires when the insert lands."""
-        ev = Event(self.env)
-        self._putters.append((ev, item))
-        self._dispatch()
-        return ev
-
-    def get(self) -> Event:
-        """Remove and return the oldest item via the event's value."""
-        ev = Event(self.env)
-        self._getters.append(ev)
-        self._dispatch()
-        return ev
-
-    def cancel_get(self, event: Event) -> bool:
-        """Withdraw a pending ``get`` (e.g. a container that shut down)."""
-        try:
-            self._getters.remove(event)
-            return True
-        except ValueError:
-            return False
-
-    def _dispatch(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            # move queued puts into the buffer while room remains
-            while self._putters and len(self._items) < self.capacity:
-                ev, item = self._putters.popleft()
-                self._items.append(item)
-                ev.succeed()
-                progressed = True
-            # satisfy waiting getters
-            while self._getters and self._items:
-                getter = self._getters.popleft()
-                getter.succeed(self._items.popleft())
-                progressed = True

@@ -130,12 +130,3 @@ class RngRegistry:
         if high < low:
             raise ValueError(f"empty interval [{low}, {high})")
         return float(self.stream(name).uniform(low, high))
-
-    def fork(self, salt: str) -> "RngRegistry":
-        """A registry whose streams are all independent of this one's.
-
-        Used to give experiment repetitions (e.g. different benchmarks in
-        one sweep) disjoint randomness under a single root seed.
-        """
-        derived = zlib.crc32(salt.encode("utf-8")) ^ (self._seed * 0x9E3779B1 & 0xFFFFFFFF)
-        return RngRegistry(seed=derived)

@@ -222,10 +222,6 @@ class ServiceMetrics:
         self.drops.add(reason)
         self.failed += 1
 
-    def record_failure(self, query: Query) -> None:
-        """Crash-drop shorthand: a query dropped after its retry budget."""
-        self.record_drop(query, "crash")
-
     @property
     def violation_fraction(self) -> float:
         """Fraction of completed user queries over the QoS target."""
@@ -262,13 +258,6 @@ class ServiceMetrics:
         needs the exact value.  (Formerly misnamed ``exact_percentile``.)
         """
         return self.latencies.percentile(p)
-
-    def breakdown_fractions(self) -> Dict[str, float]:
-        """Each stage's share of total recorded latency."""
-        total = sum(self.breakdown_sums.values())
-        if total <= 0:
-            return {s: 0.0 for s in STAGES}
-        return {s: v / total for s, v in self.breakdown_sums.items()}
 
     def mean_canary_latency(self) -> float:
         """Average latency of recent shadow queries (NaN when none)."""

@@ -99,9 +99,3 @@ class AmbientTenants:
                 self._remove = self.machine.inject_background(demand)
             self.current = demand
             yield self.env.timeout(self.interval)
-
-    def pressures_now(self) -> tuple[float, float, float]:
-        """The ambient pressure vector currently injected."""
-        caps = self.machine.capacity
-        d = self.current
-        return (d.cpu / caps[0], d.io_mbps / caps[1], d.net_mbps / caps[2])

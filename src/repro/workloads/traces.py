@@ -254,14 +254,6 @@ class SampledTrace(Trace):
         self.period = period
         self.peak_rate = float(self._r.max())
 
-    @classmethod
-    def from_csv(cls, path, **kwargs) -> "SampledTrace":
-        """Load a two-column (time, rate) CSV; '#' lines are comments."""
-        data = np.loadtxt(path, delimiter=",", comments="#")
-        if data.ndim != 2 or data.shape[1] < 2:
-            raise ValueError(f"{path}: expected two columns (time, rate)")
-        return cls(data[:, 0], data[:, 1], **kwargs)
-
     def rate(self, t: float) -> float:
         if self.period is not None:
             t = self._t[0] + (t - self._t[0]) % self.period

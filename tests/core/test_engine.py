@@ -2,8 +2,6 @@
 
 import itertools
 
-import pytest
-
 from repro.core.config import AmoebaConfig
 from repro.core.engine import DeployMode, HybridExecutionEngine
 from repro.iaas.service import IaaSService, ServiceState
@@ -168,19 +166,36 @@ class TestTimelines:
         t, target, load = engine.switch_events[0]
         assert target is DeployMode.SERVERLESS and load == 10.0
 
-    def test_mode_at(self):
+    def test_mode_timeline_starts_with_the_initial_mode_at_t0(self):
+        _, iaas_engine, _ = make_engine()
+        _, fn_engine, _ = make_engine(initial=DeployMode.SERVERLESS)
+        assert iaas_engine.mode_timeline == [(0.0, DeployMode.IAAS)]
+        assert fn_engine.mode_timeline == [(0.0, DeployMode.SERVERLESS)]
+
+    def test_flip_lands_after_the_request_and_routes_from_then_on(self):
+        env, engine, _ = make_engine(config=AmoebaConfig(min_dwell=0.0, canary_fraction=0.0))
+        env.run(until=5.0)
+        engine.request_switch(DeployMode.SERVERLESS, load=10.0)
+        env.run(until=60.0)
+        (t_req, _, _), = engine.switch_events
+        flip_t, mode = engine.mode_timeline[-1]
+        assert t_req == 5.0 < flip_t <= 60.0
+        assert mode is engine.mode is DeployMode.SERVERLESS
+        qs = send(env, engine, 2)
+        env.run(until=90.0)
+        assert all(q.served_by == "serverless" for q in qs)
+
+    def test_round_trip_timeline_is_time_ordered(self):
         env, engine, _ = make_engine()
         engine.request_switch(DeployMode.SERVERLESS, load=10.0)
         env.run(until=60.0)
-        flip_t = engine.mode_timeline[1][0]
-        assert engine.mode_at(flip_t - 0.01) is DeployMode.IAAS
-        assert engine.mode_at(flip_t + 0.01) is DeployMode.SERVERLESS
-
-    def test_serverless_time_fraction(self):
-        env, engine, _ = make_engine()
-        engine.request_switch(DeployMode.SERVERLESS, load=10.0)
-        env.run(until=100.0)
-        frac = engine.serverless_time_fraction(100.0)
-        flip_t = engine.mode_timeline[1][0]
-        assert frac == pytest.approx((100.0 - flip_t) / 100.0, rel=1e-6)
-        assert engine.serverless_time_fraction(0.0) == 0.0
+        engine.request_switch(DeployMode.IAAS, load=20.0)
+        env.run(until=400.0)
+        times = [t for t, _ in engine.mode_timeline]
+        assert [m for _, m in engine.mode_timeline] == [
+            DeployMode.IAAS,
+            DeployMode.SERVERLESS,
+            DeployMode.IAAS,
+        ]
+        assert times == sorted(times) and times[1] < 60.0 < times[2]
+        assert [t for t, _, _ in engine.switch_events] == [0.0, 60.0]

@@ -9,7 +9,6 @@ from repro.graph import (
     chain_topology,
     edge_network_cost,
     fanout_topology,
-    layered_topology,
 )
 
 
@@ -118,10 +117,16 @@ class TestDeterminism:
     def test_seeded_builders_are_reproducible(self):
         assert chain_topology(4, seed=5) == chain_topology(4, seed=5)
         assert fanout_topology(3, seed=5) == fanout_topology(3, seed=5)
-        assert layered_topology(5, depth=4, width=2) == layered_topology(5, depth=4, width=2)
-        assert layered_topology(5, depth=4, width=2) != layered_topology(6, depth=4, width=2)
+        assert chain_topology(4, seed=5) != chain_topology(4, seed=6)
 
-    def test_layered_topology_is_a_valid_single_rooted_dag(self):
-        topo = layered_topology(11, depth=5, width=3)
-        assert topo.root == topo.topo_order()[0]
-        assert topo.sinks() == (topo.topo_order()[-1],)
+    @pytest.mark.parametrize("build", [lambda: chain_topology(5, seed=3), lambda: fanout_topology(4, seed=3)])
+    def test_seeded_builders_give_single_rooted_dags(self, build):
+        topo = build()
+        order = topo.topo_order()
+        assert topo.root == order[0]
+        assert topo.sinks() == (order[-1],)
+        assert sorted(order) == sorted(n.name for n in topo.nodes)
+
+    def test_unseeded_builders_use_the_fixed_network_cost(self):
+        for topo in (chain_topology(3, network_s=0.02), fanout_topology(2, network_s=0.02)):
+            assert {e.network_s for e in topo.edges} == {0.02}

@@ -182,13 +182,14 @@ class TestServingGolden:
 
 
 class TestUtilization:
-    def test_mean_cpu_utilization_positive_under_load(self, env, rng):
+    def test_machine_cpu_in_use_rises_under_load(self, env, rng):
         svc = make_service(env, rng)
         svc.deploy(instant=True)
         for i in range(20):
             svc.invoke(query(env, i))
         env.run(until=10.0)
-        assert 0.0 < svc.mean_cpu_utilization() < 1.0
+        busy = svc.machine.cpu_in_use.mean(env.now)
+        assert 0.0 < busy < svc.sizing.rented_cores
 
     def test_platform_deploy_and_route(self, env, rng):
         platform = IaaSPlatform(env, rng)

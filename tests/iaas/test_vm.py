@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cluster.spec import NodeSpec
 from repro.iaas.vm import DEFAULT_FLAVOR, VMFlavor
 
 
@@ -20,17 +19,9 @@ def test_validation():
         VMFlavor(boot_sigma=-0.1)
 
 
-def test_slice_of_is_proportional():
-    node = NodeSpec(cores=40, memory_mb=40960.0, disk_mbps=2000.0, net_mbps=4000.0)
-    f = VMFlavor.slice_of(node, cores=4.0)
-    assert f.memory_mb == pytest.approx(4096.0)
-    assert f.io_mbps == pytest.approx(200.0)
-    assert f.net_mbps == pytest.approx(400.0)
-
-
-def test_slice_of_validation():
-    node = NodeSpec()
-    with pytest.raises(ValueError):
-        VMFlavor.slice_of(node, cores=0.0)
-    with pytest.raises(ValueError):
-        VMFlavor.slice_of(node, cores=node.cores + 1)
+@pytest.mark.parametrize("attr", ["memory_mb", "io_mbps", "net_mbps"])
+def test_each_size_must_be_positive(attr):
+    with pytest.raises(ValueError, match=attr):
+        VMFlavor(**{attr: 0.0})
+    with pytest.raises(ValueError, match=attr):
+        VMFlavor(**{attr: -1.0})

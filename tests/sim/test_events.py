@@ -222,3 +222,65 @@ def test_cancelled_schedule_callback_does_not_run(env):
     env.run()
     assert hits == []
     assert env.now == 3.0
+
+
+# -- conditions, delays and priorities --------------------------------------
+
+
+def test_any_of_propagates_a_first_failure(env):
+    bad = env.event()
+    bad.fail(ValueError("first"))
+    cond = AnyOf(env, [bad, env.timeout(2.0)])
+    cond.defuse()
+    env.run()
+    assert not cond.ok
+    assert isinstance(cond.value, ValueError)
+
+
+def test_any_of_defuses_a_failure_after_it_resolved(env):
+    late = env.event()
+    cond = AnyOf(env, [env.timeout(1.0, "ok"), late])
+    env.schedule_callback(2.0, lambda: late.fail(RuntimeError("too late")))
+    env.run()  # the late failure must not escape the run
+    assert cond.ok and list(cond.value.values()) == ["ok"]
+
+
+def test_condition_value_keeps_child_order(env):
+    a, b, c = env.timeout(3.0, "a"), env.timeout(1.0, "b"), env.timeout(2.0, "c")
+    cond = AllOf(env, [a, b, c])
+    env.run(until=cond)
+    assert list(cond.value.values()) == ["a", "b", "c"]
+
+
+def test_trigger_copies_a_failure_and_defuses_the_source(env):
+    src, dst = env.event(), env.event()
+    assert src.callbacks is not None
+    src.callbacks.append(dst.trigger)
+    dst.defuse()
+    src.fail(KeyError("k"))
+    env.run()  # src's failure would escape here had trigger() not defused it
+    assert not dst.ok and isinstance(dst.value, KeyError)
+
+
+def test_succeed_and_fail_honour_delay(env):
+    fired = []
+    ok, bad = env.event(), env.event()
+    for ev in (ok, bad):
+        assert ev.callbacks is not None
+        ev.callbacks.append(lambda e: fired.append((env.now, e.ok)))
+    ok.succeed("v", delay=2.5)
+    bad.fail(RuntimeError("x"), delay=1.5)
+    bad.defuse()
+    env.run()
+    assert fired == [(1.5, False), (2.5, True)]
+
+
+def test_lower_priority_value_fires_first_at_one_instant(env):
+    order = []
+    for name, priority in (("normal", 1), ("urgent", 0)):
+        ev = env.event()
+        assert ev.callbacks is not None
+        ev.callbacks.append(lambda e: order.append(e.value))
+        ev.succeed(name, delay=1.0, priority=priority)
+    env.run()
+    assert order == ["urgent", "normal"]

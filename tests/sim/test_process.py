@@ -1,8 +1,7 @@
-"""Process semantics: sequencing, completion, interrupts, errors."""
+"""Process semantics: sequencing, completion, errors."""
 
 import pytest
 
-from repro.sim.events import Interrupt
 from repro.sim.process import Process
 
 
@@ -20,7 +19,7 @@ def test_process_runs_to_completion(env):
     result = env.run(until=p)
     assert log == [1.0, 3.0]
     assert result == "finished"
-    assert not p.is_alive
+    assert p.processed
 
 
 def test_process_requires_generator(env):
@@ -87,53 +86,6 @@ def test_unwaited_process_exception_escapes(env):
         env.run()
 
 
-def test_interrupt_wakes_sleeping_process(env):
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as i:
-            log.append((env.now, i.cause))
-
-    p = env.process(sleeper(env))
-
-    def interrupter(env):
-        yield env.timeout(3.0)
-        p.interrupt("wake up")
-
-    env.process(interrupter(env))
-    env.run()
-    assert log == [(3.0, "wake up")]
-
-
-def test_interrupt_finished_process_raises(env):
-    def quick(env):
-        yield env.timeout(1.0)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(RuntimeError, match="finished"):
-        p.interrupt()
-
-
-def test_interrupted_process_can_continue(env):
-    log = []
-
-    def worker(env):
-        try:
-            yield env.timeout(50.0)
-        except Interrupt:
-            pass
-        yield env.timeout(1.0)
-        log.append(env.now)
-
-    p = env.process(worker(env))
-    env.schedule_callback(5.0, lambda: p.interrupt())
-    env.run()
-    assert log == [6.0]
-
-
 def test_waiting_on_already_processed_event(env):
     def proc(env):
         t = env.timeout(1.0, value="early")
@@ -171,3 +123,70 @@ def test_two_processes_interleave(env):
         ("ping", 6.0),
         ("pong", 7.0),
     ]
+
+
+def test_generator_that_never_yields_completes_at_start(env):
+    def proc(env):
+        return "instant"
+        yield  # pragma: no cover
+
+    p = env.process(proc(env))
+    assert env.run(until=p) == "instant"
+    assert env.now == 0.0
+
+
+def test_process_value_is_the_return_value(env):
+    def proc(env):
+        yield env.timeout(1.0)
+        return {"done": True}
+
+    p = env.process(proc(env))
+    env.run()
+    assert p.processed and p.ok
+    assert p.value == {"done": True}
+
+
+def test_failed_event_is_thrown_into_the_waiting_process(env):
+    ev = env.event()
+    got = []
+
+    def proc(env):
+        try:
+            yield ev
+        except KeyError as exc:
+            got.append((env.now, exc.args[0]))
+
+    env.process(proc(env))
+    env.schedule_callback(2.0, lambda: ev.fail(KeyError("gone")))
+    env.run()
+    assert got == [(2.0, "gone")]
+
+
+def test_process_waits_on_all_of(env):
+    def proc(env):
+        yield env.all_of([env.timeout(1.0), env.timeout(4.0), env.timeout(2.0)])
+        return env.now
+
+    p = env.process(proc(env))
+    assert env.run(until=p) == 4.0
+
+
+def test_yielding_another_environments_event_raises(env):
+    from repro.sim.environment import Environment
+
+    other = Environment()
+
+    def proc(env):
+        yield other.timeout(1.0)
+
+    env.process(proc(env))
+    with pytest.raises(ValueError, match="different environment"):
+        env.run()
+
+
+def test_process_name_defaults_to_generator_name(env):
+    def worker(env):
+        yield env.timeout(1.0)
+
+    assert env.process(worker(env)).name == "worker"
+    assert Process(env, worker(env), name="w1").name == "w1"

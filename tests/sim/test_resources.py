@@ -1,8 +1,11 @@
-"""Resource / PriorityResource / Store semantics."""
+"""Resource semantics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.environment import Environment
+from repro.sim.resources import Resource
 
 
 def test_resource_capacity_validation(env):
@@ -63,90 +66,93 @@ def test_resize_grants_waiters(env):
     assert waiting.triggered
 
 
-def test_priority_resource_orders_waiters(env):
-    res = PriorityResource(env, capacity=1)
-    held = res.request(priority=0)
-    low = res.request(priority=5)
-    high = res.request(priority=1)
-    res.release(held)
-    assert high.triggered
-    assert not low.triggered
+def test_granted_request_carries_itself_as_value(env):
+    res = Resource(env, capacity=1)
+    req = res.request()
+    assert req.value is req
 
 
-def test_priority_resource_fifo_within_level(env):
-    res = PriorityResource(env, capacity=1)
+def test_release_hands_the_slot_to_the_oldest_waiter(env):
+    res = Resource(env, capacity=1)
     held = res.request()
-    first = res.request(priority=1)
-    second = res.request(priority=1)
+    first, second = res.request(), res.request()
     res.release(held)
     assert first.triggered and not second.triggered
+    assert res.count == 1
+    assert res.queue_length == 1
 
 
-def test_priority_release_queued_request(env):
-    res = PriorityResource(env, capacity=1)
+def test_cancelled_waiter_is_skipped_when_a_slot_frees(env):
+    res = Resource(env, capacity=1)
     held = res.request()
-    queued = res.request(priority=2)
-    res.release(queued)
-    assert res.queue_length == 0
+    cancelled, waiting = res.request(), res.request()
+    res.release(cancelled)
     res.release(held)
+    assert not cancelled.triggered
+    assert waiting.triggered
 
 
-def test_store_put_get_fifo(env):
-    store = Store(env)
-    store.put("a")
-    store.put("b")
-    g1, g2 = store.get(), store.get()
-    assert g1.value == "a"
-    assert g2.value == "b"
+def test_double_release_raises(env):
+    res = Resource(env, capacity=1)
+    req = res.request()
+    res.release(req)
+    with pytest.raises(RuntimeError):
+        res.release(req)
 
 
-def test_store_get_blocks_until_put(env):
-    store = Store(env)
-    got = []
-
-    def consumer(env):
-        item = yield store.get()
-        got.append((env.now, item))
-
-    env.process(consumer(env))
-
-    def producer(env):
-        yield env.timeout(5.0)
-        yield store.put("late")
-
-    env.process(producer(env))
-    env.run()
-    assert got == [(5.0, "late")]
+def test_resize_down_keeps_holders_and_queues_new_requests(env):
+    res = Resource(env, capacity=3)
+    holders = [res.request() for _ in range(3)]
+    res.resize(1)
+    assert res.capacity == 1
+    assert res.count == 3
+    late = res.request()
+    assert not late.triggered
+    res.release(holders[0])
+    res.release(holders[1])
+    assert not late.triggered  # the third holder still fills capacity 1
+    res.release(holders[2])
+    assert late.triggered
 
 
-def test_store_capacity_blocks_put(env):
-    store = Store(env, capacity=1)
-    p1 = store.put("x")
-    p2 = store.put("y")
-    assert p1.triggered
-    assert not p2.triggered
-    g = store.get()
-    assert g.value == "x"
-    assert p2.triggered  # slot freed
-
-
-def test_store_capacity_validation(env):
+def test_resize_validation(env):
+    res = Resource(env, capacity=2)
     with pytest.raises(ValueError):
-        Store(env, capacity=0)
+        res.resize(0)
+    assert res.capacity == 2
 
 
-def test_store_cancel_get(env):
-    store = Store(env)
-    g = store.get()
-    assert store.cancel_get(g)
-    assert not store.cancel_get(g)  # already removed
-    store.put("x")
-    assert not g.triggered  # cancelled getter never fires
-    assert len(store) == 1
+def test_waiters_start_when_holders_leave(env):
+    res = Resource(env, capacity=2)
+    starts = {}
+
+    def worker(env, i, hold):
+        req = res.request()
+        yield req
+        starts[i] = env.now
+        yield env.timeout(hold)
+        res.release(req)
+
+    for i, hold in enumerate([3.0, 1.0, 2.0, 2.0]):
+        env.process(worker(env, i, hold))
+    env.run()
+    assert starts == {0: 0.0, 1: 0.0, 2: 1.0, 3: 3.0}
 
 
-def test_store_items_snapshot(env):
-    store = Store(env)
-    for i in range(3):
-        store.put(i)
-    assert store.items == (0, 1, 2)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 20)), max_size=60), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_random_request_release_sequences_keep_fifo_and_capacity(ops, capacity):
+    env = Environment()
+    res = Resource(env, capacity=capacity)
+    live = []  # requests not yet released, in request order
+    for is_request, k in ops:
+        if is_request or not live:
+            live.append(res.request())
+        else:
+            res.release(live.pop(k % len(live)))
+        granted = [r.triggered for r in live]
+        # grants form a prefix of the live requests (FIFO) ...
+        assert granted == sorted(granted, reverse=True)
+        # ... capped at capacity, with nobody waiting while a slot is free
+        assert res.count == sum(granted) == min(capacity, len(live))
+        assert res.queue_length == len(live) - res.count

@@ -77,16 +77,6 @@ def test_uniform_validation():
         RngRegistry(seed=0).uniform("u", 5.0, 2.0)
 
 
-def test_fork_is_deterministic_and_independent():
-    a1 = RngRegistry(seed=9).fork("salt").stream("x").random(5)
-    a2 = RngRegistry(seed=9).fork("salt").stream("x").random(5)
-    b = RngRegistry(seed=9).fork("other").stream("x").random(5)
-    parent = RngRegistry(seed=9).stream("x").random(5)
-    assert np.array_equal(a1, a2)
-    assert not np.array_equal(a1, b)
-    assert not np.array_equal(a1, parent)
-
-
 @pytest.mark.parametrize("median, sigma", [(1.0, 0.15), (0.05, 0.3), (2.0, 0.0)])
 def test_lognormal_sampler_matches_scalar_draws(median, sigma):
     # 100 draws cross three block refills and end inside a partial block
@@ -124,3 +114,35 @@ def test_lognormal_sampler_validation_claims_nothing():
     with pytest.raises(ValueError):
         reg.lognormal_sampler("bad", 0.0, 0.1)
     reg.stream("bad")  # the refused sampler did not take the name
+
+
+def test_seed_property():
+    assert RngRegistry(seed=42).seed == 42
+    assert RngRegistry().seed == 0
+
+
+def test_owned_stream_draws_what_the_shared_stream_would():
+    owned = RngRegistry(seed=8).owned_stream("arrivals/x").random(6)
+    shared = RngRegistry(seed=8).stream("arrivals/x").random(6)
+    assert np.array_equal(owned, shared)
+
+
+def test_owned_stream_has_one_owner():
+    reg = RngRegistry(seed=8)
+    reg.owned_stream("a")
+    with pytest.raises(RuntimeError):
+        reg.owned_stream("a")
+    with pytest.raises(RuntimeError):
+        reg.stream("a")
+    with pytest.raises(RuntimeError):
+        reg.uniform("a", 0.0, 1.0)
+    reg.stream("b")
+    with pytest.raises(RuntimeError):
+        reg.owned_stream("b")
+
+
+def test_convenience_draws_come_from_the_named_stream():
+    a, b = RngRegistry(seed=21), RngRegistry(seed=21)
+    assert a.uniform("u", 2.0, 5.0) == b.stream("u").uniform(2.0, 5.0)
+    assert a.lognormal_around("l", 3.0, 0.2) == 3.0 * np.exp(b.stream("l").normal(0.0, 0.2))
+    assert a.exponential("e", 2.0) == b.stream("e").exponential(2.0)

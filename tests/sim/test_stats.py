@@ -7,92 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.stats import (
-    Histogram,
-    OnlineStats,
-    P2Quantile,
-    ReservoirSample,
-    TimeSeries,
-    TimeWeightedStats,
-)
+from repro.sim.stats import ReservoirSample, TimeSeries, TimeWeightedStats
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-
-class TestOnlineStats:
-    def test_empty(self):
-        s = OnlineStats()
-        assert s.n == 0
-        assert math.isnan(s.mean)
-        assert math.isnan(s.variance)
-
-    def test_matches_numpy(self):
-        data = np.random.default_rng(0).normal(5, 2, size=1000)
-        s = OnlineStats()
-        s.extend(data)
-        assert s.n == 1000
-        assert s.mean == pytest.approx(np.mean(data))
-        assert s.variance == pytest.approx(np.var(data, ddof=1))
-        assert s.std == pytest.approx(np.std(data, ddof=1))
-        assert s.min == data.min() and s.max == data.max()
-
-    def test_single_observation(self):
-        s = OnlineStats()
-        s.add(3.0)
-        assert s.mean == 3.0
-        assert math.isnan(s.variance)
-
-    @given(st.lists(finite_floats, min_size=1, max_size=60), st.lists(finite_floats, min_size=1, max_size=60))
-    @settings(max_examples=50, deadline=None)
-    def test_merge_equals_combined(self, xs, ys):
-        a, b, c = OnlineStats(), OnlineStats(), OnlineStats()
-        a.extend(xs)
-        b.extend(ys)
-        c.extend(xs + ys)
-        merged = a.merge(b)
-        assert merged.n == c.n
-        assert merged.mean == pytest.approx(c.mean, rel=1e-6, abs=1e-6)
-        if c.n > 1 and not math.isnan(c.variance):
-            assert merged.variance == pytest.approx(c.variance, rel=1e-6, abs=1e-5)
-
-    def test_merge_with_empty(self):
-        a, b = OnlineStats(), OnlineStats()
-        a.extend([1.0, 2.0])
-        m = a.merge(b)
-        assert m.n == 2 and m.mean == 1.5
-
-
-class TestP2Quantile:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
-    def test_empty_is_nan(self):
-        assert math.isnan(P2Quantile(0.5).value)
-
-    def test_small_samples_exactish(self):
-        q = P2Quantile(0.5)
-        for x in (5.0, 1.0, 3.0):
-            q.add(x)
-        assert 1.0 <= q.value <= 5.0
-
-    @pytest.mark.parametrize("quantile", [0.5, 0.9, 0.95, 0.99])
-    def test_tracks_known_distribution(self, quantile):
-        rng = np.random.default_rng(42)
-        data = rng.exponential(1.0, size=50000)
-        est = P2Quantile(quantile)
-        for x in data:
-            est.add(float(x))
-        exact = float(np.quantile(data, quantile))
-        assert est.value == pytest.approx(exact, rel=0.06)
-
-    def test_bounded_memory(self):
-        est = P2Quantile(0.95)
-        for x in range(100000):
-            est.add(float(x % 977))
-        assert len(est._heights) == 5
 
 
 class TestReservoirSample:
@@ -122,55 +39,30 @@ class TestReservoirSample:
     def test_percentile_empty_nan(self):
         assert math.isnan(ReservoirSample(10).percentile(50))
 
-    def test_cdf_monotone(self):
-        r = ReservoirSample(500, rng=np.random.default_rng(2))
-        for x in np.random.default_rng(3).normal(0, 1, 2000):
+    def test_percentile_is_exact_under_capacity(self):
+        xs = np.random.default_rng(4).lognormal(0.0, 0.5, 500)
+        r = ReservoirSample(1000)
+        for x in xs:
             r.add(float(x))
-        grid = np.linspace(-3, 3, 50)
-        f = r.cdf(grid)
-        assert np.all(np.diff(f) >= 0)
-        assert f[0] >= 0.0 and f[-1] <= 1.0
+        for p in (0, 50, 95, 99, 100):
+            assert r.percentile(p) == np.percentile(xs, p)
 
+    def test_same_generator_seed_keeps_the_same_sample(self):
+        samples = []
+        for _ in range(2):
+            r = ReservoirSample(16, rng=np.random.default_rng(9))
+            for x in range(5000):
+                r.add(float(x))
+            samples.append(r.values())
+        assert np.array_equal(samples[0], samples[1])
 
-class TestHistogram:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Histogram(1.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            Histogram(0.0, 1.0, 0)
-
-    def test_binning(self):
-        h = Histogram(0.0, 10.0, 10)
-        for x in (0.5, 1.5, 1.7, 9.99):
-            h.add(x)
-        assert h.counts[0] == 1
-        assert h.counts[1] == 2
-        assert h.counts[9] == 1
-
-    def test_overflow_underflow(self):
-        h = Histogram(0.0, 1.0, 4)
-        h.add(-0.1)
-        h.add(1.0)  # hi edge is exclusive
-        h.add(5.0)
-        assert h.underflow == 1
-        assert h.overflow == 2
-        assert h.n == 3
-
-    def test_edges(self):
-        h = Histogram(0.0, 1.0, 4)
-        assert np.allclose(h.edges(), [0.0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_top_edge_rounding_clamps_to_last_bin(self):
-        # (hi - lo) / bins is inexact here, so int((x - lo) / width) lands
-        # on the phantom bin ``bins`` for x just below hi (this raised
-        # IndexError before the clamp)
-        h = Histogram(0.0, 3.3, 6)
-        x = math.nextafter(3.3, 0.0)
-        assert x < h.hi
-        h.add(x)
-        assert h.overflow == 0
-        assert h.counts[5] == 1
-        assert h.n == 1
+    def test_replacement_keeps_only_offered_values(self):
+        r = ReservoirSample(8, rng=np.random.default_rng(2))
+        offered = [float(x) for x in range(100, 400)]
+        for x in offered:
+            r.add(x)
+        assert set(r.values()) <= set(offered)
+        assert len(set(r.values())) == 8  # distinct inputs stay distinct
 
 
 class TestTimeWeightedStats:
@@ -184,7 +76,6 @@ class TestTimeWeightedStats:
         tw.set(2.0, 4.0)  # 0 until t=2, then 4
         assert tw.integral(5.0) == pytest.approx(12.0)
         assert tw.mean(5.0) == pytest.approx(12.0 / 5.0)
-        assert tw.max == 4.0 and tw.min == 0.0
 
     def test_adjust(self):
         tw = TimeWeightedStats()
@@ -204,6 +95,29 @@ class TestTimeWeightedStats:
     def test_empty_interval_mean_nan(self):
         assert math.isnan(TimeWeightedStats().mean(0.0))
 
+    def test_mean_is_taken_from_t0(self):
+        tw = TimeWeightedStats(t0=10.0, initial=1.0)
+        tw.set(15.0, 3.0)
+        assert tw.integral(20.0) == pytest.approx(5.0 + 15.0)
+        assert tw.mean(20.0) == pytest.approx(20.0 / 10.0)
+        assert math.isnan(tw.mean(10.0))
+
+    def test_repeated_set_at_one_instant_keeps_only_the_last_level(self):
+        tw = TimeWeightedStats()
+        tw.set(1.0, 100.0)
+        tw.set(1.0, 2.0)  # zero-length segment at level 100
+        assert tw.level == 2.0
+        assert tw.integral(3.0) == pytest.approx(4.0)
+
+    def test_integral_query_does_not_advance_the_clock(self):
+        tw = TimeWeightedStats(initial=2.0)
+        assert tw.integral(10.0) == pytest.approx(20.0)
+        tw.set(4.0, 0.0)  # still allowed: integral() moved nothing
+        assert tw.integral(10.0) == pytest.approx(8.0)
+
+    def test_initial_level(self):
+        assert TimeWeightedStats(initial=7.5).level == 7.5
+
     @given(st.lists(st.tuples(st.floats(0.01, 10.0), finite_floats), min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_integral_matches_manual(self, steps):
@@ -221,6 +135,40 @@ class TestTimeWeightedStats:
 
 
 class TestTimeSeries:
+    def test_empty(self):
+        ts = TimeSeries(min_interval=1.0)
+        assert len(ts) == 0
+        assert ts.times().size == 0 and ts.values().size == 0
+
+    def test_sample_exactly_one_interval_after_the_anchor_is_kept(self):
+        ts = TimeSeries(min_interval=1.0)
+        ts.record(0.0, 1.0)
+        ts.record(1.0, 2.0)
+        assert list(ts.times()) == [0.0, 1.0]
+
+    def test_arrays_are_snapshots(self):
+        ts = TimeSeries()
+        ts.record(0.0, 1.0)
+        vals = ts.values()
+        vals[0] = 99.0
+        ts.record(1.0, 2.0)
+        assert list(ts.values()) == [1.0, 2.0]
+
+    @given(st.lists(st.tuples(st.floats(0.0, 5.0), finite_floats), min_size=1, max_size=40))
+    @settings(max_examples=50, deadline=None)
+    def test_decimated_series_keeps_the_newest_sample_and_its_grid(self, steps):
+        ts = TimeSeries(min_interval=1.0)
+        t = 0.0
+        for dt, v in steps:
+            t += dt
+            ts.record(t, v)
+        times = ts.times()
+        assert times[-1] == t and ts.values()[-1] == steps[-1][1]
+        assert np.all(np.diff(times) > 0)
+        # each kept sample lies within one interval of its window's anchor,
+        # and anchors are at least one interval apart
+        assert np.all(times[2:] - times[:-2] > 1.0 - 1e-9)
+
     def test_records_everything_without_decimation(self):
         ts = TimeSeries()
         for i in range(10):
@@ -254,15 +202,3 @@ class TestTimeSeries:
         ts.record(1.5, 3.0)  # 1.5s past the anchor at 0.0: new sample
         assert list(ts.times()) == [0.9, 1.5]
         assert list(ts.values()) == [2.0, 3.0]
-
-    def test_resample_zero_order_hold(self):
-        ts = TimeSeries()
-        ts.record(1.0, 10.0)
-        ts.record(3.0, 20.0)
-        out = ts.resample([0.0, 1.0, 2.0, 3.5])
-        assert math.isnan(out[0])
-        assert out[1] == 10.0 and out[2] == 10.0 and out[3] == 20.0
-
-    def test_resample_empty(self):
-        out = TimeSeries().resample([1.0, 2.0])
-        assert np.all(np.isnan(out))

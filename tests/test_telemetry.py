@@ -85,19 +85,23 @@ class TestServiceMetrics:
     def test_mean_canary_nan_when_empty(self):
         assert math.isnan(ServiceMetrics("s", 1.0).mean_canary_latency())
 
-    def test_breakdown_fractions(self):
+    def test_breakdown_sums_accumulate_per_stage(self):
+        m = ServiceMetrics("s", qos_target=10.0)
+        m.record_completion(make_query(1.0, cold=0.25))
+        m.record_completion(make_query(2.0, queue=0.5))
+        assert m.breakdown_sums["cold"] == 0.25
+        assert m.breakdown_sums["queue"] == 0.5
+        assert m.breakdown_sums["exec"] == pytest.approx(0.75 + 1.5)
+        assert m.breakdown_sums["proc"] == 0.0
+
+    def test_breakdown_sums_ignore_unknown_stages_and_canaries(self):
         m = ServiceMetrics("s", qos_target=10.0)
         q = make_query(1.0)
-        q.breakdown = {"proc": 0.1, "exec": 0.8, "post": 0.1}
+        q.breakdown["gc"] = 9.0
         m.record_completion(q)
-        f = m.breakdown_fractions()
-        assert f["proc"] == pytest.approx(0.1)
-        assert f["exec"] == pytest.approx(0.8)
-        assert sum(f.values()) == pytest.approx(1.0)
-
-    def test_breakdown_fractions_empty(self):
-        f = ServiceMetrics("s", 1.0).breakdown_fractions()
-        assert all(v == 0.0 for v in f.values())
+        m.record_completion(make_query(5.0, canary=True))
+        assert set(m.breakdown_sums) == {"proc", "queue", "cold", "load", "exec", "post"}
+        assert sum(m.breakdown_sums.values()) == pytest.approx(1.0)
 
     def test_served_by_counts(self):
         m = ServiceMetrics("s", qos_target=10.0)

@@ -45,13 +45,6 @@ def test_multiple_axes(env, rng):
     assert p[2] == pytest.approx(0.6)
 
 
-def test_pressures_now_matches_machine(env, rng):
-    m = make_machine(env)
-    amb = AmbientTenants(env, m, {"cpu": ConstantTrace(0.4)}, rng, interval=5.0, jitter_sigma=0.0)
-    env.run(until=1.0)
-    assert amb.pressures_now()[0] == pytest.approx(m.pressures()[0])
-
-
 def test_zero_pressure_injects_nothing(env, rng):
     m = make_machine(env)
     AmbientTenants(env, m, {"cpu": ConstantTrace(0.0)}, rng, interval=5.0, jitter_sigma=0.0)

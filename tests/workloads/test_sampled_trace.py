@@ -37,19 +37,17 @@ def test_scale():
     assert t.rate(0.0) == 10.0
 
 
-def test_from_csv(tmp_path):
-    path = tmp_path / "trace.csv"
-    path.write_text("# time,qps\n0.0,1.0\n60.0,5.0\n120.0,2.0\n")
-    t = SampledTrace.from_csv(path)
-    assert t.rate(30.0) == pytest.approx(3.0)
-    assert t.peak_rate == 5.0
+def test_rate_at_sample_points_is_the_sample():
+    times, rates = [0.0, 60.0, 120.0], [1.0, 5.0, 2.0]
+    for interpolation in ("linear", "previous"):
+        t = SampledTrace(times, rates, interpolation=interpolation)
+        assert [t.rate(x) for x in times] == rates
+        assert t.peak_rate == 5.0
 
 
-def test_from_csv_bad_shape(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1.0\n2.0\n")
-    with pytest.raises(ValueError):
-        SampledTrace.from_csv(path)
+def test_periodic_step_trace():
+    t = SampledTrace([0.0, 10.0], [1.0, 4.0], interpolation="previous", period=20.0)
+    assert [t.rate(x) for x in (5.0, 15.0, 25.0, 35.0)] == [1.0, 4.0, 1.0, 4.0]
 
 
 def test_validation():
