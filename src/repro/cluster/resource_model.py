@@ -34,7 +34,9 @@ The earliest ``(finish_v − vclock) / rate`` over the heap tops (ties
 broken by admission order) arms the machine's one completion timer; the
 previous timer is cancelled through the kernel's event-cancellation path
 rather than left to fire as a stale no-op, which keeps heap growth O(1)
-amortized per query.
+amortized per query.  When the timer fires for a finished execution, the
+machine calls that execution's ``on_done(duration)`` directly: a
+completion costs the timer's one heap entry and no completion event.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ class _Class:
 
     ``vclock`` is the work every member has been credited since the class
     last refilled (∫ rate dt, banked up to ``last``); ``heap`` holds one
-    ``(finish_v, eid, demand, done, start)`` entry per in-flight member,
+    ``(finish_v, eid, demand, on_done, start)`` entry per in-flight member,
     ordered by virtual finish point with admission order (``eid``) as the
     tie-break.  A member's remaining work is ``finish_v − vclock``.
     """
@@ -186,7 +188,7 @@ class _Class:
         self.vclock = 0.0
         self.last = 0.0
         self.rate = 1.0
-        self.heap: list[tuple[float, int, DemandVector, Event, float]] = []
+        self.heap: list[tuple[float, int, DemandVector, Callable[[float], object], float]] = []
 
 
 class _CompletionTimer(Event):
@@ -288,10 +290,20 @@ class MachineModel:
         return self.config.slowdown(sens, self.pressures())
 
     # -- execution ----------------------------------------------------------
-    def execute(self, work: float, demand: DemandVector, sens: SensitivityVector) -> Event:
-        """Run ``work`` seconds of uncontended execution; returns completion event.
+    def execute(
+        self,
+        work: float,
+        demand: DemandVector,
+        sens: SensitivityVector,
+        on_done: Callable[[float], object],
+    ) -> None:
+        """Run ``work`` seconds of uncontended execution.
 
-        The completion event's value is the actual (stretched) duration.
+        ``on_done(duration)`` is called with the actual (stretched)
+        duration at the instant the execution finishes, from inside the
+        machine's completion timer and after the machine has rebalanced
+        without it.  A caller that must wait in a generator passes an
+        event's ``succeed``.
         """
         if work <= 0:
             raise ValueError(f"work must be positive, got {work}")
@@ -308,15 +320,13 @@ class MachineModel:
             # a class's clock only grows over one of its busy periods
             cls.vclock = 0.0
         cls.last = now
-        done = self.env.event()
-        heapq.heappush(cls.heap, (cls.vclock + work, next(self._ids), demand, done, now))
+        heapq.heappush(cls.heap, (cls.vclock + work, next(self._ids), demand, on_done, now))
         self._n_active += 1
         self._demand_totals[0] += demand.cpu
         self._demand_totals[1] += demand.io_mbps
         self._demand_totals[2] += demand.net_mbps
         self._memory_in_use += demand.memory_mb
         self._rebalance(now)
-        return done
 
     def _rebalance(self, now: float) -> None:
         """Advance the class clocks, recompute rates and re-arm the timer.
@@ -428,7 +438,7 @@ class MachineModel:
                 self._timer = _CompletionTimer(self.env, delay, self)
                 self.timer_arms += 1
                 return
-        _finish_v, _eid, d, done, start = heapq.heappop(heap)
+        _finish_v, _eid, d, on_done, start = heapq.heappop(heap)
         self._n_active -= 1
         self._demand_totals[0] -= d.cpu
         self._demand_totals[1] -= d.io_mbps
@@ -436,7 +446,7 @@ class MachineModel:
         self._memory_in_use -= d.memory_mb
         self._rebalance(now)
         self.completed += 1
-        done.succeed(now - start)
+        on_done(now - start)
 
     # -- background pressure -------------------------------------------------
     def inject_background(self, demand: DemandVector) -> Callable[[], None]:

@@ -4,7 +4,8 @@ Responsibilities:
 
 1. **Quantify contention** — run the three contention meters on the
    production serverless platform at 1 QPS each (§VII-E), phase-shifted
-   round-robin so their overheads do not stack, and invert the profiled
+   round-robin so their overheads do not stack (each meter's sampler is
+   a callback chain, not a generator process), and invert the profiled
    Fig. 8 curves to turn meter latencies into the pressure vector
    ``P = (P_cpu, P_io, P_net)``.
 2. **Calibrate Eq. 6's weights** — ingest heartbeat feedback
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +35,8 @@ from repro.core.meters import AXIS_METERS, METER_SPECS, MeterProfile, profile_me
 from repro.core.surfaces import SurfaceSet
 from repro.faults import FaultInjector
 from repro.serverless import ServerlessPlatform
-from repro.sim import Environment, Event, RngRegistry
+from repro.sim import Environment, RngRegistry
+from repro.sim.events import Callback
 from repro.telemetry import ServiceMetrics
 from repro.workloads import Query
 
@@ -147,7 +149,7 @@ class ContentionMonitor:
 
     # -- meter scheduling -------------------------------------------------------
     def start(self) -> None:
-        """Register the meters and begin the 1 QPS daemons (round-robin)."""
+        """Register the meters and begin their 1 QPS samplers (round-robin)."""
         if self._started:
             raise RuntimeError("monitor already started")
         self._started = True
@@ -160,27 +162,36 @@ class ContentionMonitor:
             # phase-shift by a third of a period: the paper's "round time
             # trip" scheduling that keeps total overhead <= one meter's
             offset = (i / len(AXIS_METERS)) * period
-            self.env.process(self._daemon(name, offset, period))
+            self._start_meter(name, offset, period)
 
-    def _daemon(self, name: str, offset: float, period: float) -> Iterator[Event]:
-        yield self.env.timeout(offset)
-        while True:
-            if self.faults is not None:
-                outage = self.faults.meter_outage(name)
+    def _start_meter(self, name: str, offset: float, period: float) -> None:
+        """Sample one meter every ``period`` seconds from ``offset`` on.
+
+        The sampler is a callback chain: each sample schedules the next.
+        Its first step is a zero-delay, priority-0 callback, where a
+        generator process would have put its bootstrap, so every sample
+        takes the same heap position a meter process's would.
+        """
+        env = self.env
+        faults = self.faults
+
+        def sample() -> None:
+            if faults is not None:
+                outage = faults.meter_outage(name)
                 if outage > 0.0:
                     # the meter goes completely silent for the outage;
                     # the controller's stale-telemetry safe mode is what
                     # keeps decisions sane while it lasts
-                    yield self.env.timeout(outage)
-                    continue
-                if self.faults.meter_sample_dropped(name):
-                    yield self.env.timeout(period)
-                    continue
-            q = Query(
-                qid=next(self._qid), service=name, t_submit=self.env.now, canary=True
-            )
+                    Callback(env, outage, sample)
+                    return
+                if faults.meter_sample_dropped(name):
+                    Callback(env, period, sample)
+                    return
+            q = Query(qid=next(self._qid), service=name, t_submit=env.now, canary=True)
             self.platform.invoke(q)
-            yield self.env.timeout(period)
+            Callback(env, period, sample)
+
+        Callback(env, 0.0, lambda: Callback(env, offset, sample), priority=0)
 
     def telemetry_age(self, now: float) -> float:
         """Seconds since the *stalest* meter last completed a sample.

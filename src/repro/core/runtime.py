@@ -6,7 +6,7 @@ service IaaS rentals:
 * one :class:`~repro.serverless.platform.ServerlessPlatform` — the
   multi-tenant container pool every microservice (and the meters) shares;
 * one :class:`~repro.core.monitor.ContentionMonitor` with its meter
-  daemons and PCA calibration;
+  samplers and PCA calibration;
 * per managed microservice: a just-enough IaaS rental, a
   :class:`~repro.core.engine.HybridExecutionEngine` and a
   :class:`~repro.core.controller.DeploymentController` with the

@@ -413,8 +413,8 @@ class IaaSService:
                 return
         self.in_flight += 1
         # Nameko RPC dispatch overhead.  The query runs as a callback chain
-        # (this call, the worker grant, the machine's done event): a
-        # generator process would add a bootstrap event and a timeout
+        # (this call, the worker grant, the machine's completion callback):
+        # a generator process would add a bootstrap event and a timeout
         Callback(self.env, RPC_OVERHEAD, partial(self._claim_worker, query))
 
     def _drop(self, query: Query, reason: str) -> None:
@@ -469,11 +469,11 @@ class IaaSService:
         work = self._exec_draw()
         token = next(self._tokens)
         self._active[token] = query
-        done = self.machine.execute(work, spec.demand, spec.sensitivity)
-        assert done.callbacks is not None
-        done.callbacks.append(partial(self._finish, query, req, token))
+        self.machine.execute(
+            work, spec.demand, spec.sensitivity, partial(self._finish, query, req, token)
+        )
 
-    def _finish(self, query: Query, req: "_Request", token: int, done: Event) -> None:
+    def _finish(self, query: Query, req: "_Request", token: int, exec_t: float) -> None:
         """The contended execution finished: settle the query."""
         spec = self.spec
         gov = self.overload
@@ -484,7 +484,7 @@ class IaaSService:
             # the machine work that just finished was the ghost of the
             # killed execution
             return
-        query.breakdown["exec"] = done._value
+        query.breakdown["exec"] = exec_t
         query.t_complete = self.env.now
         query.served_by = "iaas"
         if self.metrics is not None:

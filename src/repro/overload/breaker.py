@@ -58,6 +58,8 @@ class CircuitBreaker:
         self.half_opens = 0
         self.closes = 0
         self._window: Deque[Tuple[float, bool]] = deque(maxlen=policy.breaker_window)
+        #: running count of the bad outcomes in ``_window``
+        self._bad = 0
         self._probe_total = 0
         self._probe_bad = 0
 
@@ -84,13 +86,18 @@ class CircuitBreaker:
                     self.closes += 1
                     self._transition(now, BreakerState.CLOSED)
             return
+        window = self._window
         for _ in range(weight):
-            self._window.append((now, bad))
+            if len(window) == window.maxlen and window[0][1]:
+                # the full deque drops its oldest outcome on append
+                self._bad -= 1
+            window.append((now, bad))
+            if bad:
+                self._bad += 1
         self._evict(now)
-        n = len(self._window)
+        n = len(window)
         if n >= self.policy.breaker_min_samples:
-            bad_n = sum(1 for _, b in self._window if b)
-            if bad_n / n >= self.policy.breaker_threshold:
+            if self._bad / n >= self.policy.breaker_threshold:
                 self.trips += 1
                 self._open(now)
 
@@ -126,6 +133,7 @@ class CircuitBreaker:
     def _open(self, now: float) -> None:
         self.opened_at = now
         self._window.clear()
+        self._bad = 0
         self._transition(now, BreakerState.OPEN)
 
     def _transition(self, now: float, state: BreakerState) -> None:
@@ -136,4 +144,5 @@ class CircuitBreaker:
         horizon = now - self.policy.breaker_window_s
         window = self._window
         while window and window[0][0] < horizon:
-            window.popleft()
+            if window.popleft()[1]:
+                self._bad -= 1

@@ -171,7 +171,22 @@ class ContainerPool:
     def submit(self, query: Query) -> None:
         """Enqueue one invocation (front-end overhead already paid)."""
         fs = self.state(query.service)
-        fs.queue.append((query, self.env.now))
+        now = self.env.now
+        if not fs.queue and fs.idle:
+            # warm fast path: what enqueue + _take would do, minus the
+            # round trip through the queue.  The depth-1 sample they would
+            # record is overwritten at this same instant by the depth-0
+            # one (min_interval > 0), so only the latter is recorded.
+            fs.queue_depth.record(now, 0.0)
+            if fs.peak_queue_depth < 1:
+                fs.peak_queue_depth = 1
+            gov = fs.overload
+            if gov is not None and gov.should_shed(0.0, target=query.local_budget(now)):
+                self._shed(fs, query, 0.0)
+                return
+            self._assign(fs, fs.idle.popleft(), query, now)
+            return
+        fs.queue.append((query, now))
         self._note_queue(fs)
         self._pump(fs)
 
@@ -258,10 +273,14 @@ class ContainerPool:
             yield self.env.timeout(boot)
             # code/image pull contends for disk bandwidth
             pull_work = fs.spec.code_mb / cfg.cold_load_mbps
-            pull = self.machine.execute(
+            # the machine calls pull.succeed(duration) when the pull
+            # finishes; waiting on that event keeps the generator's order
+            pull = self.env.event()
+            self.machine.execute(
                 pull_work,
                 DemandVector(cpu=0.2, io_mbps=cfg.cold_load_mbps),
                 _COLD_PULL_SENS,
+                pull.succeed,
             )
             yield pull
             if self.faults is None or not self.faults.cold_start_fails(fs.spec.name):
@@ -383,7 +402,8 @@ class ContainerPool:
 
         This is a callback chain, not a generator process: the per-query
         hot path is four kernel events lighter that way (no bootstrap, no
-        process-completion event, no generator frames).  Draw order per
+        process-completion event, no generator frames), and the machine
+        calls ``after_exec`` itself when the execution ends.  Draw order per
         RNG stream is unchanged — the load draw happens at assign time,
         which is the order the process bootstraps replayed.
         """
@@ -408,15 +428,13 @@ class ContainerPool:
             # contended execution
             work = fs._exec_draw()
             fs.ledger.acquire(spec.demand.cpu, 0.0)
-            done = self.machine.execute(work, spec.demand, spec.sensitivity)
-            assert done.callbacks is not None
-            done.callbacks.append(after_exec)
+            self.machine.execute(work, spec.demand, spec.sensitivity, after_exec)
 
-        def after_exec(done: Event) -> None:
+        def after_exec(exec_t: float) -> None:
             fs.ledger.release(spec.demand.cpu, 0.0)
             # result posting
             post_t = cfg.post_overhead_base + spec.result_mb / cfg.post_mbps
-            Callback(env, post_t, lambda: self._complete(fs, container, query, load_t, done._value, post_t))
+            Callback(env, post_t, lambda: self._complete(fs, container, query, load_t, exec_t, post_t))
 
         Callback(env, load_t, start_exec)
 

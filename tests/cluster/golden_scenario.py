@@ -22,6 +22,8 @@ The scenario is deliberately nasty for a completion scheduler:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.cluster.resource_model import DemandVector, MachineModel, SensitivityVector
@@ -53,14 +55,12 @@ def run_golden_scenario(seed: int = SEED, engine: type = MachineModel) -> list[f
     ios = rng.uniform(0.0, 120.0, N_QUERIES)
     kinds = rng.integers(0, 2, N_QUERIES)
 
-    def submit(env, idx, work, demand, sens):
-        latencies[idx] = yield machine.execute(work, demand, sens)
-
     def feeder(env):
         for i in range(N_QUERIES):
             yield env.timeout(gaps[i])
             demand = DemandVector(cpu=cpus[i], memory_mb=64.0, io_mbps=ios[i])
-            env.process(submit(env, i, works[i], demand, sens_a if kinds[i] else sens_b))
+            sens = sens_a if kinds[i] else sens_b
+            machine.execute(works[i], demand, sens, partial(latencies.__setitem__, i))
 
     def co_tenant(env):
         # pulsing background pressure: rebalances decoupled from arrivals

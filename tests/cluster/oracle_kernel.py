@@ -1,9 +1,11 @@
-"""Test-only oracle: the O(N) contention kernel, kept verbatim.
+"""Test-only oracle: the O(N) contention kernel.
 
 This is the ``MachineModel`` that ``repro.cluster.resource_model`` shipped
 before the per-class virtual clocks: every arrival and completion banks
 and re-rates every in-flight execution, and the next completion is the
 strict-``<`` minimum of ``work_left / rate`` over the whole active set.
+Its one change since is the shipped kernel's completion interface,
+``execute(work, demand, sens, on_done)``.
 It is slow (O(N) per rebalance) but obviously right, so the property and
 differential tests in this package run it side by side with the shipped
 kernel.  It is never imported by ``src/``.
@@ -29,7 +31,7 @@ __all__ = ["MachineModel"]
 class _Execution:
     """Bookkeeping for one in-flight execution on a machine."""
 
-    __slots__ = ("eid", "demand", "sens", "work_left", "rate", "last_update", "done", "start")
+    __slots__ = ("eid", "demand", "sens", "work_left", "rate", "last_update", "on_done", "start")
 
     def __init__(
         self,
@@ -37,7 +39,7 @@ class _Execution:
         demand: DemandVector,
         sens: SensitivityVector,
         work: float,
-        done: Event,
+        on_done: Callable[[float], object],
         now: float,
     ):
         self.eid = eid
@@ -46,7 +48,7 @@ class _Execution:
         self.work_left = work
         self.rate = 1.0
         self.last_update = now
-        self.done = done
+        self.on_done = on_done
         self.start = now
 
 
@@ -114,23 +116,28 @@ class MachineModel:
         return self.config.slowdown(sens, self.pressures())
 
     # -- execution ----------------------------------------------------------
-    def execute(self, work: float, demand: DemandVector, sens: SensitivityVector) -> Event:
-        """Run ``work`` seconds of uncontended execution; returns completion event.
+    def execute(
+        self,
+        work: float,
+        demand: DemandVector,
+        sens: SensitivityVector,
+        on_done: Callable[[float], object],
+    ) -> None:
+        """Run ``work`` seconds of uncontended execution.
 
-        The completion event's value is the actual (stretched) duration.
+        ``on_done(duration)`` is called with the actual (stretched)
+        duration when the execution finishes.
         """
         if work <= 0:
             raise ValueError(f"work must be positive, got {work}")
         now = self.env.now
-        done = self.env.event()
-        ex = _Execution(next(self._ids), demand, sens, work, done, now)
+        ex = _Execution(next(self._ids), demand, sens, work, on_done, now)
         self._active[ex.eid] = ex
         self._demand_totals[0] += demand.cpu
         self._demand_totals[1] += demand.io_mbps
         self._demand_totals[2] += demand.net_mbps
         self._memory_in_use += demand.memory_mb
         self._rebalance(now)
-        return done
 
     def _rebalance(self, now: float) -> None:
         """Bank progress, recompute rates and re-arm the completion timer.
@@ -253,7 +260,7 @@ class MachineModel:
         self._memory_in_use -= d.memory_mb
         self._rebalance(now)
         self.completed += 1
-        ex.done.succeed(now - ex.start)
+        ex.on_done(now - ex.start)
 
     # -- background pressure -------------------------------------------------
     def inject_background(self, demand: DemandVector) -> Callable[[], None]:

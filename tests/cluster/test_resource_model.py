@@ -111,6 +111,13 @@ CPU1 = DemandVector(cpu=1.0, memory_mb=256.0)
 SENS_CPU = SensitivityVector(cpu=1.0, io=0.0, net=0.0)
 
 
+def start(m, work, demand, sens):
+    """Start one execution; returns an event that fires with its duration."""
+    done = m.env.event()
+    m.execute(work, demand, sens, done.succeed)
+    return done
+
+
 class TestMachineModel:
     def test_capacity_validation(self, env):
         with pytest.raises(ValueError):
@@ -118,7 +125,7 @@ class TestMachineModel:
 
     def test_solo_execution_takes_its_work(self, env):
         m = make_machine(env, linear=0.0)  # no sub-saturation interference
-        done = m.execute(2.0, CPU1, SENS_CPU)
+        done = start(m, 2.0, CPU1, SENS_CPU)
         env.run(until=done)
         assert env.now == pytest.approx(2.0)
         assert done.value == pytest.approx(2.0)
@@ -126,11 +133,11 @@ class TestMachineModel:
     def test_work_must_be_positive(self, env):
         m = make_machine(env)
         with pytest.raises(ValueError):
-            m.execute(0.0, CPU1, SENS_CPU)
+            start(m, 0.0, CPU1, SENS_CPU)
 
     def test_pressures_reflect_active_demand(self, env):
         m = make_machine(env, cores=4.0)
-        m.execute(10.0, DemandVector(cpu=2.0, io_mbps=100.0), SENS_CPU)
+        start(m, 10.0, DemandVector(cpu=2.0, io_mbps=100.0), SENS_CPU)
         p = m.pressures()
         assert p[0] == pytest.approx(0.5)
         assert p[1] == pytest.approx(0.25)
@@ -139,7 +146,7 @@ class TestMachineModel:
     def test_contention_stretches_execution(self, env):
         # 10 one-core jobs on 8 cores: pressure 1.25, all slowed equally
         m = make_machine(env)
-        events = [m.execute(1.0, CPU1, SENS_CPU) for _ in range(10)]
+        events = [start(m, 1.0, CPU1, SENS_CPU) for _ in range(10)]
         env.run()
         cfg = m.config
         expected = 1.0 * cfg.slowdown(SENS_CPU, (10.0 / 8.0, 0.0, 0.0))
@@ -151,10 +158,10 @@ class TestMachineModel:
 
         def spoiler(env):
             yield env.timeout(0.5)
-            m.execute(10.0, CPU1, SENS_CPU)
+            start(m, 10.0, CPU1, SENS_CPU)
 
         env.process(spoiler(env))
-        done = m.execute(1.0, CPU1, SENS_CPU)
+        done = start(m, 1.0, CPU1, SENS_CPU)
         env.run(until=done)
         # first half runs at slowdown 1+1*1=2? no: alone pressure=1 -> slowdown 2
         # 0.5s of wall completes 0.25 work; then two jobs: pressure 2 -> slowdown 3
@@ -163,8 +170,8 @@ class TestMachineModel:
 
     def test_departure_speeds_up_remaining_job(self, env):
         m = make_machine(env, cores=1.0, linear=1.0, quad=0.0, overlap=0.0)
-        short = m.execute(0.5, CPU1, SENS_CPU)
-        long = m.execute(2.0, CPU1, SENS_CPU)
+        short = start(m, 0.5, CPU1, SENS_CPU)
+        long = start(m, 2.0, CPU1, SENS_CPU)
         env.run(until=long)
         # both at pressure 2 (slowdown 3) until short finishes at t=1.5
         # (0.5 work); long then has 1.5 work left alone (slowdown 2) -> 3.0s
@@ -172,7 +179,7 @@ class TestMachineModel:
 
     def test_memory_tracked(self, env):
         m = make_machine(env)
-        m.execute(1.0, DemandVector(cpu=0.5, memory_mb=512.0), SENS_CPU)
+        start(m, 1.0, DemandVector(cpu=0.5, memory_mb=512.0), SENS_CPU)
         assert m.memory_in_use_mb == pytest.approx(512.0)
         env.run()
         assert m.memory_in_use_mb == pytest.approx(0.0)
@@ -189,20 +196,20 @@ class TestMachineModel:
     def test_background_slows_execution(self, env):
         m = make_machine(env, cores=1.0, linear=1.0, quad=0.0, overlap=0.0)
         m.inject_background(DemandVector(cpu=1.0))
-        done = m.execute(1.0, CPU1, SENS_CPU)
+        done = start(m, 1.0, CPU1, SENS_CPU)
         env.run(until=done)
         # pressure 2 (background 1 + own 1) -> slowdown 3
         assert env.now == pytest.approx(3.0, rel=1e-6)
 
     def test_accounting_taps_integrate(self, env):
         m = make_machine(env, linear=0.0)
-        m.execute(2.0, DemandVector(cpu=3.0), SENS_CPU)
+        start(m, 2.0, DemandVector(cpu=3.0), SENS_CPU)
         env.run()
         assert m.cpu_in_use.integral(env.now) == pytest.approx(6.0)
 
     def test_many_jobs_all_complete(self, env):
         m = make_machine(env)
-        events = [m.execute(0.1 + 0.01 * i, CPU1, SENS_CPU) for i in range(50)]
+        events = [start(m, 0.1 + 0.01 * i, CPU1, SENS_CPU) for i in range(50)]
         env.run()
         assert all(e.processed for e in events)
         assert m.active_count == 0
@@ -218,7 +225,7 @@ class TestMachineModel:
         m = make_machine(env)
         seen = []
         m.on_pressure_change = lambda t, p: seen.append((t, p))
-        done = m.execute(1.0, CPU1, SENS_CPU)
+        done = start(m, 1.0, CPU1, SENS_CPU)
         env.run(until=done)
         assert len(seen) >= 2  # start + finish
         assert seen[0][1][0] > 0.0
@@ -240,7 +247,7 @@ class TestMachineModel:
             # a new job every 5 s, each lasting well over 12 s: the class
             # always has members, so its clock is never rebased
             for i in range(n):
-                m.execute(12.0 + 0.1 * (i % 7), DemandVector(cpu=3.1), SENS_CPU)
+                start(m, 12.0 + 0.1 * (i % 7), DemandVector(cpu=3.1), SENS_CPU)
                 yield env.timeout(5.0)
 
         env.process(feeder(env))
@@ -264,7 +271,7 @@ class TestMachineModel:
         def feeder(env):
             # one short solo job every 20 s: the class drains every time
             for i in range(n):
-                m.execute(0.3 + 0.01 * (i % 7), CPU1, SENS_CPU)
+                start(m, 0.3 + 0.01 * (i % 7), CPU1, SENS_CPU)
                 yield env.timeout(20.0)
 
         env.process(feeder(env))

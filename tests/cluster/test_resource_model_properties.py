@@ -76,8 +76,12 @@ def run_jobs(engine, jobs, pulses=()):
         yield env.timeout(delay)
         t0 = env.now
         demand = DemandVector(cpu=cpu, memory_mb=64.0, io_mbps=io)
-        duration = yield machine.execute(work, demand, CLASSES[k])
-        results.append((i, work, k, t0, env.now, duration))
+        machine.execute(
+            work,
+            demand,
+            CLASSES[k],
+            lambda duration: results.append((i, work, k, t0, env.now, duration)),
+        )
 
     def storm(env):
         for gap, width, strength in pulses:

@@ -5,8 +5,10 @@ import pytest
 
 from repro.cluster.resource_model import DemandVector
 from repro.core.config import AmoebaConfig
+from repro.core.meters import AXIS_METERS
 from repro.core.monitor import ContentionMonitor, pcr_fit, sample_period
 from repro.core.surfaces import build_surface_set
+from repro.faults import FaultInjector, FaultPlan
 from repro.serverless.platform import ServerlessPlatform
 from repro.sim.environment import Environment
 from repro.sim.rng import RngRegistry
@@ -85,13 +87,73 @@ class TestPCR:
             pcr_fit(np.ones((5, 3)), np.ones(5), variance_coverage=0.0)
 
 
-def make_monitor(env=None, config=None):
+def make_monitor(env=None, config=None, faults=None):
     env = env if env is not None else Environment()
     rng = RngRegistry(seed=3)
     platform = ServerlessPlatform(env, rng)
     config = config if config is not None else AmoebaConfig()
-    monitor = ContentionMonitor(env, platform, config, rng)
+    monitor = ContentionMonitor(env, platform, config, rng, faults=faults)
     return env, platform, monitor
+
+
+def expected_submits(offset, period, horizon, name=None, faults=None):
+    """The sample times of one meter, replayed step by step.
+
+    Each step adds its delay to the clock the way the kernel does
+    (``now + delay``): an outage silences the meter for its duration, a
+    dropped sample skips one period, any other step samples.
+    """
+    out = []
+    t = 0.0 + offset
+    while t < horizon:
+        if faults is not None:
+            outage = faults.meter_outage(name)
+            if outage > 0.0:
+                t += outage
+                continue
+            if faults.meter_sample_dropped(name):
+                t += period
+                continue
+        out.append(t)
+        t += period
+    return out
+
+
+class TestMeterSampling:
+    HORIZON = 400.0
+
+    def sampled(self, faults=None):
+        env, platform, monitor = make_monitor(faults=faults)
+        monitor.start()
+        seen = {name: [] for name in AXIS_METERS}
+        # record the canaries instead of serving them
+        platform.invoke = lambda q: seen[q.service].append(q.t_submit)
+        env.run(until=self.HORIZON)
+        return seen
+
+    def test_each_meter_samples_on_its_phase_grid(self):
+        seen = self.sampled()
+        period = 1.0 / AmoebaConfig().meter_qps
+        for i, name in enumerate(AXIS_METERS):
+            offset = (i / len(AXIS_METERS)) * period
+            times = seen[name]
+            assert times == expected_submits(offset, period, self.HORIZON)
+            assert times == pytest.approx([offset + k * period for k in range(len(times))])
+            assert len(times) == int(self.HORIZON / period)
+
+    def test_outages_and_drops_skip_like_the_meter_process(self):
+        plan = FaultPlan(meter_outage_prob=0.01, meter_outage_duration_s=7.5, meter_drop_prob=0.2)
+        faults = FaultInjector(plan, RngRegistry(seed=3))
+        seen = self.sampled(faults)
+        assert faults.stats.meter_outages > 0 and faults.stats.meter_samples_dropped > 0
+        # a fresh injector on the same seed replays the same decisions
+        replay = FaultInjector(plan, RngRegistry(seed=3))
+        period = 1.0 / AmoebaConfig().meter_qps
+        for i, name in enumerate(AXIS_METERS):
+            offset = (i / len(AXIS_METERS)) * period
+            want = expected_submits(offset, period, self.HORIZON, name, replay)
+            assert seen[name] == want
+        assert replay.stats == faults.stats
 
 
 class TestMonitorLive:

@@ -166,9 +166,10 @@ class TestServingGolden:
         assert svc.shed == 7 and svc.peak_queue_depth == 6
         assert svc.in_flight == 0 and svc.completions == 33
 
-    def test_uncontended_query_schedules_four_events(self):
-        # RPC overhead, worker grant, machine completion timer and the
-        # machine's done event; nothing else touches the heap
+    def test_uncontended_query_schedules_three_events(self):
+        # RPC overhead, worker grant and the machine's completion timer,
+        # which calls the query's finisher directly; nothing else touches
+        # the heap
         env = Environment()
         spec = benchmark("float")
         svc = IaaSService(env, spec, size_service(spec, 30.0), RngRegistry(seed=1234))
@@ -177,7 +178,7 @@ class TestServingGolden:
         q = Query(qid=0, service=spec.name, t_submit=env.now)
         svc.invoke(q)
         env.run()
-        assert env.scheduled_total - before == 4
+        assert env.scheduled_total - before == 3
         assert q.latency.hex() == "0x1.79b76e1f00c6ep-4"
 
 

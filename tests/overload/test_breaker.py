@@ -1,6 +1,8 @@
 """The circuit breaker: trip, deterministic dwell, half-open probes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.overload import BreakerState, CircuitBreaker, OverloadPolicy
 
@@ -125,3 +127,29 @@ class TestHalfOpen:
         ]
         times = [t for t, _ in breaker.transitions]
         assert times == sorted(times)
+
+
+class TestRunningBadCount:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=8.0),  # time step
+                st.booleans(),  # bad
+                st.integers(min_value=0, max_value=5),  # weight (0 = advance only)
+            ),
+            max_size=120,
+        )
+    )
+    def test_running_count_matches_the_window(self, steps):
+        # a small window and a short age bound exercise both ways an
+        # outcome leaves: the full deque dropping it, and age eviction
+        breaker = make_breaker(breaker_window=6, breaker_window_s=10.0, breaker_min_samples=3)
+        now = 0.0
+        for dt, bad, weight in steps:
+            now += dt
+            if weight:
+                breaker.record(now, bad=bad, weight=weight)
+            else:
+                breaker.advance(now)
+            assert breaker._bad == sum(1 for _, b in breaker._window if b)

@@ -100,6 +100,28 @@ class TestLifecycle:
         assert total == pytest.approx(q.latency, rel=1e-6)
 
 
+class TestEventCount:
+    def test_warm_query_schedules_four_events(self):
+        # front-end proc, warm load, the machine's completion timer and
+        # result posting: the reaper is already armed, and the machine
+        # calls the query's finisher directly (no completion event)
+        env, platform = make_platform(keep_alive=60.0)
+        register(platform, benchmark("float"))
+        submit(env, platform, "float")
+        env.run(until=10.0)
+        assert platform.warm_count("float") == 1
+        assert platform.pool.state("float")._reap_timer is not None
+        q = Query(qid=next(QIDS), service="float", t_submit=env.now)
+        before = env.scheduled_total
+        pushed = []
+        q.on_done = lambda _q: pushed.append(env.scheduled_total - before)
+        platform.invoke(q)
+        env.run()  # no horizon: run(until=...) would schedule a stop event
+        assert pushed == [4]
+        assert q.breakdown["queue"] == 0.0
+        assert q.latency.hex() == "0x1.db8ad74b5aa80p-4"
+
+
 class TestDispatch:
     def test_queue_is_fifo(self):
         # zero front-end jitter so pool-entry order == submission order
