@@ -148,3 +148,126 @@ class TestOpenLoopOverload:
         env.run(until=300.0)
         assert platform.queue_length("matmul") > 50
         assert metrics.violation_fraction > 0.5
+
+
+def _history(result, name="matmul"):
+    """Every switch, decision and breaker count one run's result records."""
+    fg = result.services[name]
+    fs, ov = result.faults, result.overload
+    return {
+        "requests": fg.switch_events,
+        "flips": fg.mode_timeline[1:],
+        "aborts": list(fs.switch_aborts),
+        "forced_drains": fs.drain_force_releases,
+        "emergency": fs.preemption_switches,
+        "safe_mode": fs.safe_mode_periods,
+        "brownout": None if ov is None else ov.brownout_periods,
+        "surge": None if ov is None else ov.surge_periods,
+        "breaker": None if ov is None else (
+            ov.breaker_trips, ov.breaker_reopens, ov.breaker_half_opens,
+            ov.breaker_closes, ov.breaker_state,
+        ),
+    }
+
+
+class TestRunHistoryPins:
+    """Switch legs, controller period counts and breaker edges, as literals.
+
+    The values were recorded from the stored counters and lists; they
+    must come back unchanged from whatever the run history is read from.
+    """
+
+    def test_chaos_at_fault_scale_two(self):
+        from repro.experiments.runner import run_amoeba
+        from repro.experiments.scenarios import chaos_scenario
+
+        result = run_amoeba(chaos_scenario("matmul", fault_scale=2.0, day=600.0))
+        assert _history(result) == {
+            "requests": [(60.0, "serverless", 3.4280390036822452), (255.0, "iaas", 9.566666666666666)],
+            "flips": [(65.17906264562812, "serverless"), (281.9527714622048, "iaas")],
+            "aborts": [],
+            "forced_drains": 0,
+            "emergency": 0,
+            "safe_mode": 15,
+            "brownout": None,
+            "surge": None,
+            "breaker": None,
+        }
+
+    def test_ack_loss_and_boot_failure_abort_legs(self):
+        from repro.experiments.runner import run_amoeba
+        from repro.experiments.scenarios import chaos_scenario
+        from repro.faults import FaultPlan
+
+        plan = FaultPlan(prewarm_ack_loss_prob=0.7, vm_boot_failure_prob=0.6, max_boot_retries=1)
+        result = run_amoeba(chaos_scenario("matmul", plan=plan, day=900.0, seed=0))
+        assert _history(result) == {
+            "requests": [
+                (15.0, "serverless", 3.7159768891940326),
+                (285.0, "iaas", 7.933333333333334),
+                (630.0, "iaas", 9.4),
+                (840.0, "serverless", 6.233333333333333),
+            ],
+            "flips": [(18.50925364977894, "serverless"), (657.665351812735, "iaas")],
+            "aborts": [
+                (343.51096899086644, "iaas", "VMBootFailed: matmul: boot failed after 2 attempts"),
+                (870.0, "serverless", "prewarm ack deadline"),
+            ],
+            "forced_drains": 0,
+            "emergency": 0,
+            "safe_mode": 0,
+            "brownout": None,
+            "surge": None,
+            "breaker": None,
+        }
+
+    def test_overload_at_factor_three(self):
+        from repro.experiments.runner import run_amoeba
+        from repro.experiments.scenarios import overload_scenario
+        from repro.overload import OverloadPolicy
+
+        result = run_amoeba(
+            overload_scenario("matmul", lambda_factor=3.0, policy=OverloadPolicy(), day=600.0)
+        )
+        assert _history(result) == {
+            "requests": [],
+            "flips": [],
+            "aborts": [],
+            "forced_drains": 0,
+            "emergency": 0,
+            "safe_mode": 6,
+            "brownout": 16,
+            "surge": 0,
+            "breaker": (3, 1, 4, 3, "closed"),
+        }
+
+    def test_graceful_spot_cell_with_flash_crowds(self):
+        from repro.experiments.runner import run_amoeba
+        from repro.experiments.scenarios import spot_scenario
+        from repro.overload import OverloadPolicy
+
+        result = run_amoeba(
+            spot_scenario(
+                "matmul", spot_fraction=0.5, preemption_prob=1.0, graceful=True,
+                spike_magnitude=0.5, policy=OverloadPolicy(), day=600.0,
+            )
+        )
+        assert _history(result) == {
+            "requests": [
+                (15.0, "serverless", 3.2828593257004655),
+                (210.0, "iaas", 8.65),
+                (570.0, "serverless", 6.266666666666667),
+            ],
+            "flips": [
+                (18.509218701743773, "serverless"),
+                (236.95277146220477, "iaas"),
+                (571.2797177304823, "serverless"),
+            ],
+            "aborts": [],
+            "forced_drains": 0,
+            "emergency": 0,
+            "safe_mode": 0,
+            "brownout": 4,
+            "surge": 19,
+            "breaker": (1, 0, 1, 1, "closed"),
+        }
