@@ -40,8 +40,8 @@ def main() -> None:
     print(f"served by         : {m.served_by}")
 
     print("\ndeploy-mode switches:")
-    for t, mode, load in service.engine.switch_events:
-        print(f"  t={t:7.1f}s  -> {mode.value:<10}  at load {load:5.1f} qps")
+    for leg in service.engine.legs:
+        print(f"  t={leg.time:7.1f}s  -> {leg.target.value:<10}  at load {leg.load:5.1f} qps")
 
     usage = runtime.service_usage(spec.name)
     rented = service.iaas.sizing.rented_cores

@@ -15,7 +15,9 @@ Every sample period T (Eq. 8) the controller, for its microservice:
    λ > out_margin·λ(μ).
 
 Every evaluation is logged — the Fig. 12 timeline and the Fig. 15
-discriminant-error analysis read the log.
+discriminant-error analysis read the log, and so does every count of
+safe-mode, brownout or surge periods: ``decisions`` is the controller's
+one history store.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ class ControllerDecision:
     mu: float
     lambda_max: float
     mode: DeployMode
-    switched: bool
     #: the mode a successful switch request targeted (None if no switch)
     switch_target: Optional[DeployMode]
     guard_blocked: bool
@@ -90,12 +91,6 @@ class DeploymentController:
         self.config = config
         self.guard = guard
         self.decisions: List[ControllerDecision] = []
-        #: decision periods spent in stale-telemetry safe mode
-        self.safe_mode_periods = 0
-        #: decision periods spent under a breaker-forced brownout
-        self.brownout_periods = 0
-        #: decision periods on which the flash-crowd detector tripped
-        self.surge_periods = 0
         # smoothed load for the flash-crowd detector (None until the
         # first sample — the detector never trips on its own baseline)
         self._load_ewma: Optional[float] = None
@@ -126,92 +121,74 @@ class DeploymentController:
             # an OPEN breaker pins the current mode (engine.can_switch);
             # log it so brownout windows are visible in the decision trace
             brownout = self.engine.in_brownout()
-            if brownout:
-                self.brownout_periods += 1
+            switch_target: Optional[DeployMode] = None
+            guard_blocked = False
 
             # stale-telemetry safe mode: meters silent past the staleness
             # budget make the pressure vector fiction — pin the
             # conservative IaaS deployment instead of trusting it, skip
             # feedback (it would be regressed against stale pressures),
             # and flag the decision record
-            if self.monitor.telemetry_age(now) > cfg.telemetry_stale_periods * self.period:
-                self.safe_mode_periods += 1
-                switched = False
-                if self.engine.mode is DeployMode.SERVERLESS:
-                    switched = self.engine.request_switch(DeployMode.IAAS, load)
-                self.decisions.append(
-                    ControllerDecision(
-                        time=now,
-                        load=load,
-                        mu=float("nan"),
-                        lambda_max=0.0,
-                        mode=self.engine.mode,
-                        switched=switched,
-                        switch_target=DeployMode.IAAS if switched else None,
-                        guard_blocked=False,
-                        weights=(float("nan"), float("nan"), float("nan")),
-                        pressures=(float("nan"), float("nan"), float("nan")),
-                        safe_mode=True,
-                        brownout=brownout,
-                        surge=surge,
-                    )
-                )
-                continue
-
-            # feedback to the monitor: latest serverless-path observation
-            observed = self._serverless_observation()
-            if observed is not None and observed > 0:
-                self.monitor.add_feedback(name, load, observed)
-
-            est = self._estimate_mu(load)
-            n_avail = self.engine.serverless.n_max(name)
-            if n_avail < 1:
+            safe_mode = self.monitor.telemetry_age(now) > cfg.telemetry_stale_periods * self.period
+            if safe_mode:
+                mu = float("nan")
                 lam_max = 0.0
-            elif cfg.discriminant == "mmn":
-                lam_max = max_arrival_rate(est.mu, n_avail, spec.qos_target, cfg.r_ile)
-            elif cfg.discriminant == "mdn":
-                # extension: correct the M/M/N wait for near-deterministic
-                # service via Allen–Cunneen (C_s² from the exec jitter)
-                lam_max = max_arrival_rate_gg(
-                    est.mu,
-                    n_avail,
-                    spec.qos_target,
-                    cfg.r_ile,
-                    ca2=1.0,
-                    cs2=math.expm1(spec.exec_sigma**2),
-                )
-            else:  # naive utilization rule (ablation)
-                lam_max = cfg.naive_rho_max * n_avail * est.mu
-
-            switched = False
-            switch_target: Optional[DeployMode] = None
-            guard_blocked = False
-            mode = self.engine.mode
-            if mode is DeployMode.SERVERLESS and load > cfg.switch_out_margin * lam_max:
-                switched = self.engine.request_switch(DeployMode.IAAS, load)
-                if switched:
+                weights = pressures = (float("nan"), float("nan"), float("nan"))
+                if self.engine.mode is DeployMode.SERVERLESS and self.engine.request_switch(
+                    DeployMode.IAAS, load
+                ):
                     switch_target = DeployMode.IAAS
-            elif mode is DeployMode.IAAS and load < cfg.switch_in_margin * lam_max:
-                service_time = est.predicted_latency - est.alpha
-                if self.guard is not None and not self.guard(load, service_time):
-                    guard_blocked = True
-                else:
-                    switched = self.engine.request_switch(DeployMode.SERVERLESS, load)
-                    if switched:
+            else:
+                # feedback to the monitor: latest serverless-path observation
+                observed = self._serverless_observation()
+                if observed is not None and observed > 0:
+                    self.monitor.add_feedback(name, load, observed)
+
+                est = self._estimate_mu(load)
+                mu, weights = est.mu, est.weights
+                n_avail = self.engine.serverless.n_max(name)
+                if n_avail < 1:
+                    lam_max = 0.0
+                elif cfg.discriminant == "mmn":
+                    lam_max = max_arrival_rate(mu, n_avail, spec.qos_target, cfg.r_ile)
+                elif cfg.discriminant == "mdn":
+                    # extension: correct the M/M/N wait for near-deterministic
+                    # service via Allen–Cunneen (C_s² from the exec jitter)
+                    lam_max = max_arrival_rate_gg(
+                        mu,
+                        n_avail,
+                        spec.qos_target,
+                        cfg.r_ile,
+                        ca2=1.0,
+                        cs2=math.expm1(spec.exec_sigma**2),
+                    )
+                else:  # naive utilization rule (ablation)
+                    lam_max = cfg.naive_rho_max * n_avail * mu
+
+                mode = self.engine.mode
+                if mode is DeployMode.SERVERLESS and load > cfg.switch_out_margin * lam_max:
+                    if self.engine.request_switch(DeployMode.IAAS, load):
+                        switch_target = DeployMode.IAAS
+                elif mode is DeployMode.IAAS and load < cfg.switch_in_margin * lam_max:
+                    service_time = est.predicted_latency - est.alpha
+                    if self.guard is not None and not self.guard(load, service_time):
+                        guard_blocked = True
+                    elif self.engine.request_switch(DeployMode.SERVERLESS, load):
                         switch_target = DeployMode.SERVERLESS
+                pressures = self.monitor.pressure()
 
             self.decisions.append(
                 ControllerDecision(
                     time=now,
                     load=load,
-                    mu=est.mu,
+                    mu=mu,
                     lambda_max=lam_max,
                     mode=self.engine.mode,
-                    switched=switched,
                     switch_target=switch_target,
                     guard_blocked=guard_blocked,
-                    weights=est.weights,
-                    pressures=self.monitor.pressure(),
+                    weights=weights,
+                    pressures=pressures,
+                    safe_mode=safe_mode,
                     brownout=brownout,
                     surge=surge,
                 )
@@ -231,7 +208,6 @@ class DeploymentController:
         ewma = self._load_ewma
         surge = ewma is not None and ewma > 1e-9 and load > cfg.surge_factor * ewma
         if surge:
-            self.surge_periods += 1
             self.engine.note_surge(now + cfg.surge_hold_periods * self.period)
         else:
             self._load_ewma = (

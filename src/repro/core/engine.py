@@ -19,14 +19,20 @@ Owns one microservice's two deployments and the route between them:
 * **Graceful degradation** — every switch leg runs under a guard that
   cannot leave ``switching`` stuck: the prewarm ack and the VM boot are
   raced against deadlines (a lost ack or a failed boot aborts the
-  switch, re-enters dwell, and logs the abort in ``switch_aborts``), a
-  stuck drain is force-released by a watchdog, and any exception inside
-  a switch process aborts cleanly instead of wedging the engine.
+  switch and re-enters dwell), a stuck drain is force-released by a
+  watchdog, and any exception inside a switch process aborts cleanly
+  instead of wedging the engine.
+* **Switch log** — ``legs`` is the engine's one history store: a
+  :class:`SwitchLeg` per accepted switch request, closed by its flip or
+  its abort.  The Fig. 12 mode timeline, the request markers, the abort
+  list and the forced-drain and emergency-switch counts are all read
+  from it.
 """
 
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.core.config import AmoebaConfig
@@ -39,7 +45,7 @@ from repro.sim import Environment, Event, RngRegistry
 from repro.telemetry import ServiceMetrics
 from repro.workloads import MicroserviceSpec, Query
 
-__all__ = ["DeployMode", "HybridExecutionEngine"]
+__all__ = ["DeployMode", "HybridExecutionEngine", "SwitchLeg"]
 
 
 class DeployMode(enum.Enum):
@@ -47,6 +53,25 @@ class DeployMode(enum.Enum):
 
     IAAS = "iaas"
     SERVERLESS = "serverless"
+
+
+@dataclass
+class SwitchLeg:
+    """One accepted switch request, from the request to its flip or abort."""
+
+    #: sim time of the request
+    time: float
+    target: DeployMode
+    #: the load the request was made at
+    load: float
+    #: a preemption-notice switch-in (dwell waived)
+    emergency: bool
+    #: sim time the leg flipped the route or aborted; None while in flight
+    end: Optional[float] = None
+    #: why the leg aborted; None when it flipped (or is still in flight)
+    abort_reason: Optional[str] = None
+    #: the drain watchdog force-released the previous rental
+    forced_drain: bool = False
 
 
 class HybridExecutionEngine:
@@ -75,21 +100,16 @@ class HybridExecutionEngine:
         self.mode = initial_mode
         self.switching = False
         self.last_switch_time = -float("inf")
-        #: (time, mode) — Fig. 12's deploy-mode timeline
-        self.mode_timeline: List[Tuple[float, DeployMode]] = [(env.now, initial_mode)]
-        #: (time, target mode, load at decision) — Fig. 12's star markers
-        self.switch_events: List[Tuple[float, DeployMode, float]] = []
-        #: (time, target mode, reason) — switches that timed out or died
-        self.switch_aborts: List[Tuple[float, DeployMode, str]] = []
-        #: drains the watchdog had to force-release
-        self.drain_force_releases = 0
+        #: (time, mode) the engine started in — the first timeline point
+        self.start: Tuple[float, DeployMode] = (env.now, initial_mode)
+        #: every accepted switch request, in order; at most the last one
+        #: is in flight
+        self.legs: List[SwitchLeg] = []
         self._canary_stream = rng.stream(f"canary/{spec.name}")
         self._canary_ids = 0
         self._drain_event: Optional[Event] = None
         #: sim time until which flash-crowd surge mode stays armed
         self._surge_until = -float("inf")
-        #: emergency switch-ins taken in reaction to a preemption notice
-        self.preemption_switches = 0
         # the IaaS platform tells the engine about spot reclamations so
         # it can pin serverless before the capacity actually drops
         iaas_service.on_preemption = self.handle_preemption
@@ -160,16 +180,17 @@ class HybridExecutionEngine:
         )
         if needed > self.serverless.n_max(self.spec.name):
             return
-        if self.request_switch(DeployMode.SERVERLESS, load, emergency=True):
-            self.preemption_switches += 1
+        self.request_switch(DeployMode.SERVERLESS, load, emergency=True)
 
     def request_switch(self, target: DeployMode, load: float, emergency: bool = False) -> bool:
         """Ask for a deploy-mode switch; returns False if refused.
 
-        Refusals: already in ``target``, a switch is in flight, or the
-        minimum dwell since the last switch has not elapsed.
+        Refusals: already in ``target``, a switch is in flight, the
+        minimum dwell since the last switch has not elapsed, or the
+        overload breaker holds the service in brownout.
         ``emergency=True`` (preemption reaction) waives only the dwell —
-        an in-flight switch or a brownout still refuses.
+        an in-flight switch or a brownout still refuses.  An accepted
+        request opens a new :class:`SwitchLeg`.
         """
         if target is self.mode:
             return False
@@ -179,35 +200,40 @@ class HybridExecutionEngine:
         elif not self.can_switch():
             return False
         self.switching = True
-        self.switch_events.append((self.env.now, target, load))
+        self.legs.append(SwitchLeg(self.env.now, target, load, emergency))
         if target is DeployMode.SERVERLESS:
             body = self._switch_to_serverless(load)
         else:
             body = self._switch_to_iaas()
-        self.env.process(self._guarded(body, target))
+        self.env.process(self._guarded(body))
         return True
 
-    def _guarded(self, body: Iterator[Event], target: DeployMode) -> Iterator[Event]:
+    def _guarded(self, body: Iterator[Event]) -> Iterator[Event]:
         """Run a switch leg under the no-wedge guarantee.
 
-        Whatever happens inside the body — a failed boot thrown into the
-        generator, a bug, a cancelled event — the ``switching`` flag is
-        cleared on the way out, so one dead switch can never permanently
-        pin the engine.
+        Whatever happens inside the body before the flip — a failed boot
+        thrown into the generator, a bug, a cancelled event — aborts the
+        leg and clears the ``switching`` flag on the way out, so one dead
+        switch can never permanently pin the engine.  An exception after
+        the flip is not a switch failure and propagates.
         """
         try:
             yield from body
         except Exception as exc:
-            self._abort_switch(target, f"{type(exc).__name__}: {exc}")
+            if not self.switching:
+                raise
+            self._abort_switch(f"{type(exc).__name__}: {exc}")
         finally:
             if self.switching:
-                self._abort_switch(target, "switch process exited without flipping")
+                self._abort_switch("switch process exited without flipping")
 
-    def _abort_switch(self, target: DeployMode, reason: str) -> None:
-        """Roll a failed switch back: clear the flag, re-enter dwell, log."""
+    def _abort_switch(self, reason: str) -> None:
+        """Roll the in-flight leg back: clear the flag, re-enter dwell, log."""
         self.switching = False
         self.last_switch_time = self.env.now  # full dwell before retrying
-        self.switch_aborts.append((self.env.now, target, reason))
+        leg = self.legs[-1]
+        leg.end = self.env.now
+        leg.abort_reason = reason
         if self.overload is not None:
             # an aborted leg is weighted breaker evidence: a service that
             # keeps failing to switch under load is headed for a brownout
@@ -215,7 +241,7 @@ class HybridExecutionEngine:
 
     def _flip(self, target: DeployMode) -> None:
         self.mode = target
-        self.mode_timeline.append((self.env.now, target))
+        self.legs[-1].end = self.env.now
         self.last_switch_time = self.env.now
         self.switching = False
 
@@ -247,7 +273,7 @@ class HybridExecutionEngine:
             deadline = self.env.timeout(self.config.switch_ack_timeout)
             yield self.env.any_of([ack, deadline])
             if not ack.processed:
-                self._abort_switch(DeployMode.SERVERLESS, "prewarm ack deadline")
+                self._abort_switch("prewarm ack deadline")
                 return
             if not deadline.processed:
                 deadline.cancel()
@@ -266,7 +292,7 @@ class HybridExecutionEngine:
             watchdog = self.env.timeout(self.config.drain_timeout)
             yield self.env.any_of([drained, watchdog])
             if not drained.processed:
-                self.drain_force_releases += 1
+                self.legs[-1].forced_drain = True
                 self.iaas.force_release()
             elif not watchdog.processed:
                 watchdog.cancel()
@@ -289,7 +315,7 @@ class HybridExecutionEngine:
             # a reaper behind to undeploy the rental if the boot lands
             # after nobody wants it anymore
             self.env.process(self._boot_reaper(ready))
-            self._abort_switch(DeployMode.IAAS, "vm boot deadline")
+            self._abort_switch("vm boot deadline")
             return
         if not deadline.processed:
             deadline.cancel()

@@ -75,9 +75,11 @@ def chaos_sweep(
             baseline = (viol, viol_with_drops)
         fs = result.faults
         assert fs is not None  # chaos scenarios always attach a plan
+        fg = result.services[scenario.foreground.name]
+        legs = fg.switch_legs
         # the unified dropped{reason} family: chaos runs have no overload
         # layer, so every foreground drop must carry reason "crash"
-        fg_drops = result.services[scenario.foreground.name].metrics.drops
+        fg_drops = fg.metrics.drops
         rows.append(
             [
                 scale,
@@ -85,10 +87,10 @@ def chaos_sweep(
                 fs.query_retries,
                 fs.queries_dropped,
                 fg_drops["crash"],
-                len(fs.switch_aborts),
-                fs.switches_completed,
-                fs.drain_force_releases,
-                fs.safe_mode_periods,
+                sum(leg.abort_reason is not None for leg in legs),
+                len(fg.mode_timeline) - 1,
+                sum(leg.forced_drain for leg in legs),
+                sum(d.safe_mode for d in fg.decisions),
                 viol,
                 viol_with_drops,
                 viol_with_drops - baseline[1],

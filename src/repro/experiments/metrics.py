@@ -60,9 +60,10 @@ class FaultSummary:
     """Fault-layer outcome of one run (all zero on a fault-free run).
 
     ``injected`` is the raw :class:`~repro.faults.injector.FaultStats`
-    counter dict; the rest are the degradation-policy responses the
-    chaos report reads: how often the runtime retried, aborted, force-
-    released or fell back to safe mode instead of wedging.
+    counter dict.  The runtime's responses — aborted switches, forced
+    drains, safe-mode periods — are read from the foreground
+    :class:`~repro.experiments.runner.ServiceResult`'s switch legs and
+    controller decisions, not copied here.
     """
 
     #: raw injection counters (FaultStats.as_dict())
@@ -73,19 +74,6 @@ class FaultSummary:
     query_retries: int = 0
     #: queries dropped after exhausting their retry budget
     queries_dropped: int = 0
-    #: (time, target mode value, reason) for every aborted switch
-    switch_aborts: Tuple[Tuple[float, str, str], ...] = ()
-    #: switches that actually flipped the route
-    switches_completed: int = 0
-    #: stuck drains the engine watchdog force-released
-    drain_force_releases: int = 0
-    #: controller periods spent in stale-telemetry safe mode
-    safe_mode_periods: int = 0
-    #: foreground ``preemptions{kind}`` family (noticed / drained /
-    #: killed_inflight / replaced) — spot reclamation outcomes
-    preemptions: Dict[str, int] = field(default_factory=dict)
-    #: emergency switch-ins taken in reaction to a preemption notice
-    preemption_switches: int = 0
 
 
 @dataclass(frozen=True)
@@ -93,29 +81,16 @@ class OverloadSummary:
     """Overload-layer outcome of one run (foreground service).
 
     Present on a :class:`~repro.experiments.runner.RunResult` whenever a
-    policy — even a disabled one — was attached to the scenario.  The
-    ``drops`` dict is the unified ``dropped{reason}`` counter family from
-    :class:`~repro.telemetry.ServiceMetrics`; the breaker fields expose
-    the trip/half-open/close lifecycle for the telemetry-visibility
-    acceptance check.
+    policy — even a disabled one — was attached to the scenario.  Drops,
+    retries and preemptions are the foreground ``ServiceMetrics``
+    families, and brownout or surge periods count over its controller
+    decisions; the breaker lifecycle is read from ``breaker_transitions``.
     """
 
     #: whether the attached policy was actually enabled
     policy_enabled: bool = False
-    #: foreground drops by reason (crash/admission/shed/breaker)
-    drops: Dict[str, int] = field(default_factory=dict)
     #: governor-side rejections by reason, both platforms combined
     rejections: Dict[str, int] = field(default_factory=dict)
-    #: foreground retries by kind — the unified ``retries{kind}`` family
-    #: (attempted/exhausted/deadline_abandoned) from ServiceMetrics
-    retries: Dict[str, int] = field(default_factory=dict)
-    #: queries the frontend/dispatch rejected + queues shed (foreground)
-    total_rejections: int = 0
-    #: breaker lifecycle counters
-    breaker_trips: int = 0
-    breaker_reopens: int = 0
-    breaker_half_opens: int = 0
-    breaker_closes: int = 0
     #: terminal breaker state value ("closed"/"open"/"half_open"/"disabled")
     breaker_state: str = "disabled"
     #: every breaker edge as (time, new state value)
@@ -123,13 +98,6 @@ class OverloadSummary:
     #: exact queue-depth high-water marks (foreground, per platform)
     peak_queue_depth_serverless: int = 0
     peak_queue_depth_iaas: int = 0
-    #: controller periods spent under brownout (foreground)
-    brownout_periods: int = 0
-    #: foreground ``preemptions{kind}`` family (spot reclamation events
-    #: seen while the overload layer was attached)
-    preemptions: Dict[str, int] = field(default_factory=dict)
-    #: controller periods on which the flash-crowd detector tripped
-    surge_periods: int = 0
 
 
 def latency_cdf(

@@ -91,13 +91,13 @@ def overload_sweep(
                 factor,
                 offered,
                 m_on.completed,
-                ov.drops.get("crash", 0),
-                ov.drops.get("admission", 0),
-                ov.drops.get("shed", 0),
-                ov.drops.get("breaker", 0),
-                ov.retries.get("attempted", 0),
-                ov.retries.get("exhausted", 0),
-                ov.retries.get("deadline_abandoned", 0),
+                m_on.drops.get("crash", 0),
+                m_on.drops.get("admission", 0),
+                m_on.drops.get("shed", 0),
+                m_on.drops.get("breaker", 0),
+                m_on.retries.get("attempted", 0),
+                m_on.retries.get("exhausted", 0),
+                m_on.retries.get("deadline_abandoned", 0),
                 shed_frac,
                 _fg_p95(off, name),
                 _fg_p95(on, name),
@@ -105,7 +105,7 @@ def overload_sweep(
                 m_on.violation_fraction,
                 ov.peak_queue_depth_serverless,
                 ov.peak_queue_depth_iaas,
-                ov.breaker_trips + ov.breaker_reopens,
+                sum(state == "open" for _t, state in ov.breaker_transitions),
                 ov.breaker_state,
             ]
         )

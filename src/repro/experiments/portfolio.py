@@ -116,7 +116,7 @@ def portfolio_figure(day: float = 3600.0, seed: int = 0) -> FigureResult:
         extras[name] = {
             "cpu_ratio": cpu_ratio,
             "mem_ratio": mem_ratio,
-            "switches": list(svc.engine.switch_events),
+            "switches": list(svc.engine.legs),
         }
         rows.append(
             [
@@ -125,7 +125,7 @@ def portfolio_figure(day: float = 3600.0, seed: int = 0) -> FigureResult:
                 svc.metrics.violation_fraction,
                 cpu_ratio,
                 mem_ratio,
-                len(svc.engine.switch_events),
+                len(svc.engine.legs),
             ]
         )
     return FigureResult(

@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.cluster import UsageLedger, UsageSample
 from repro.core import AmoebaConfig, AmoebaRuntime, InvariantMonitor
 from repro.core.controller import ControllerDecision, DeploymentController
-from repro.core.engine import HybridExecutionEngine
+from repro.core.engine import DeployMode, HybridExecutionEngine, SwitchLeg
 from repro.iaas import IaaSPlatform, IaaSService
 from repro.serverless import ServerlessPlatform
 from repro.sim import Environment, RngRegistry, TimeSeries
@@ -50,10 +50,10 @@ class ServiceResult:
     #: contributing ledger (IaaS rental and/or serverless containers)
     cpu_timelines: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     mem_timelines: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    #: deploy-mode history [(t, "iaas"/"serverless")], Amoeba only
-    mode_timeline: List[Tuple[float, str]] = field(default_factory=list)
-    #: accepted switches [(t, direction, load)], Amoeba only
-    switch_events: List[Tuple[float, str, float]] = field(default_factory=list)
+    #: (t, mode) the engine started in, Amoeba only
+    start: Optional[Tuple[float, DeployMode]] = None
+    #: the engine's switch log, Amoeba only
+    switch_legs: List[SwitchLeg] = field(default_factory=list)
     #: controller log, Amoeba only
     decisions: List[ControllerDecision] = field(default_factory=list)
     #: split usage for the maintainer-cost extension (None when that side
@@ -91,6 +91,23 @@ class ServiceResult:
         return CostBreakdown(
             system="", iaas_dollars=iaas, serverless_dollars=sls, iaas_spot_dollars=spot
         )
+
+    @property
+    def mode_timeline(self) -> List[Tuple[float, str]]:
+        """Deploy-mode history [(t, "iaas"/"serverless")], Amoeba only."""
+        if self.start is None:
+            return []
+        t0, mode = self.start
+        return [(t0, mode.value)] + [
+            (leg.end, leg.target.value)
+            for leg in self.switch_legs
+            if leg.end is not None and leg.abort_reason is None
+        ]
+
+    @property
+    def switch_events(self) -> List[Tuple[float, str, float]]:
+        """Accepted switch requests [(t, direction, load)], Amoeba only."""
+        return [(leg.time, leg.target.value, leg.load) for leg in self.switch_legs]
 
     def cpu_usage_on_grid(self, grid: np.ndarray) -> np.ndarray:
         """Total cores occupied, resampled (zero-order hold) onto ``grid``."""
@@ -168,8 +185,8 @@ def collect_service(
     if iaas is not None:
         result.queue_depth_timelines.append(_timeline(iaas.queue_depth))
     if engine is not None:
-        result.mode_timeline = [(t, m.value) for t, m in engine.mode_timeline]
-        result.switch_events = [(t, m.value, load) for t, m, load in engine.switch_events]
+        result.start = engine.start
+        result.switch_legs = list(engine.legs)
     if controller is not None:
         result.decisions = list(controller.decisions)
     return result
@@ -232,14 +249,6 @@ def run_amoeba(
             total_injected=stats.total_injected,
             query_retries=stats.query_retries,
             queries_dropped=stats.queries_dropped,
-            switch_aborts=tuple(
-                (t, m.value, reason) for t, m, reason in fg.engine.switch_aborts
-            ),
-            switches_completed=len(fg.engine.mode_timeline) - 1,
-            drain_force_releases=fg.engine.drain_force_releases,
-            safe_mode_periods=fg.controller.safe_mode_periods,
-            preemptions=dict(fg.metrics.preemptions),
-            preemption_switches=fg.engine.preemption_switches,
         )
     overload_summary: Optional[OverloadSummary] = None
     if fg.overload is not None:
@@ -247,21 +256,11 @@ def run_amoeba(
         breaker = gov.breaker
         overload_summary = OverloadSummary(
             policy_enabled=gov.policy.enabled,
-            drops=dict(fg.metrics.drops),
             rejections=dict(gov.rejections),
-            retries=dict(fg.metrics.retries),
-            total_rejections=gov.total_rejections,
-            breaker_trips=breaker.trips if breaker is not None else 0,
-            breaker_reopens=breaker.reopens if breaker is not None else 0,
-            breaker_half_opens=breaker.half_opens if breaker is not None else 0,
-            breaker_closes=breaker.closes if breaker is not None else 0,
             breaker_state=breaker.state.value if breaker is not None else "disabled",
             breaker_transitions=tuple(breaker.transitions) if breaker is not None else (),
             peak_queue_depth_serverless=rt.serverless.pool.state(fg.spec.name).peak_queue_depth,
             peak_queue_depth_iaas=fg.iaas.peak_queue_depth,
-            brownout_periods=fg.controller.brownout_periods,
-            preemptions=dict(fg.metrics.preemptions),
-            surge_periods=fg.controller.surge_periods,
         )
     return RunResult(
         system=f"amoeba-{variant}" if variant != "full" else "amoeba",

@@ -191,10 +191,7 @@ def spot_sweep(
         cost = fg.cost(pricing).total
         base = baseline_cost[spike]
         savings = 1.0 - cost / base if base > 0 else 0.0
-        overload = result.overload
-        assert overload is not None
-        preempt = overload.preemptions
-        faults = result.faults
+        preempt = fg.metrics.preemptions
         rows.append(
             [
                 prob,
@@ -206,8 +203,8 @@ def spot_sweep(
                 preempt.get("drained", 0),
                 preempt.get("killed_inflight", 0),
                 preempt.get("replaced", 0),
-                faults.preemption_switches if faults is not None else 0,
-                overload.surge_periods,
+                sum(leg.emergency for leg in fg.switch_legs),
+                sum(d.surge for d in fg.decisions),
                 cost,
                 savings,
             ]

@@ -51,12 +51,9 @@ class CircuitBreaker:
         self.state = BreakerState.CLOSED
         #: Sim time of the most recent CLOSED/HALF_OPEN -> OPEN edge.
         self.opened_at = -math.inf
-        #: Every state edge as ``(time, new_state_value)``, for telemetry.
+        #: Every state edge as ``(time, new_state_value)`` — the breaker's
+        #: one history store; every lifecycle count is read from it.
         self.transitions: List[Tuple[float, str]] = []
-        self.trips = 0
-        self.reopens = 0
-        self.half_opens = 0
-        self.closes = 0
         self._window: Deque[Tuple[float, bool]] = deque(maxlen=policy.breaker_window)
         #: running count of the bad outcomes in ``_window``
         self._bad = 0
@@ -80,10 +77,8 @@ class CircuitBreaker:
                 self._probe_bad += weight
             if self._probe_total >= self.policy.breaker_halfopen_samples:
                 if self._probe_bad / self._probe_total >= self.policy.breaker_threshold:
-                    self.reopens += 1
                     self._open(now)
                 else:
-                    self.closes += 1
                     self._transition(now, BreakerState.CLOSED)
             return
         window = self._window
@@ -98,7 +93,6 @@ class CircuitBreaker:
         n = len(window)
         if n >= self.policy.breaker_min_samples:
             if self._bad / n >= self.policy.breaker_threshold:
-                self.trips += 1
                 self._open(now)
 
     # -- queries ------------------------------------------------------
@@ -118,15 +112,16 @@ class CircuitBreaker:
         if self.state is BreakerState.OPEN:
             due = self.opened_at + self.policy.breaker_dwell_s
             if now >= due:
-                self.half_opens += 1
                 self._probe_total = 0
                 self._probe_bad = 0
                 self._transition(due, BreakerState.HALF_OPEN)
 
     @property
-    def total_opens(self) -> int:
-        """Initial trips plus half-open failures."""
-        return self.trips + self.reopens
+    def trips(self) -> int:
+        """CLOSED -> OPEN edges (an OPEN edge out of HALF_OPEN is a reopen)."""
+        states = [BreakerState.CLOSED.value] + [state for _t, state in self.transitions]
+        trip = (BreakerState.CLOSED.value, BreakerState.OPEN.value)
+        return sum(edge == trip for edge in zip(states, states[1:]))
 
     # -- internals ----------------------------------------------------
 

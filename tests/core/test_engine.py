@@ -153,32 +153,39 @@ class TestSwitchToIaaS:
         assert all(q.served_by == "iaas" for q in qs)
 
 
+def mode_timeline(engine):
+    """(time, mode) of the start and of every flip."""
+    return [engine.start] + [
+        (leg.end, leg.target) for leg in engine.legs if leg.end is not None and not leg.abort_reason
+    ]
+
+
 class TestTimelines:
     def test_mode_timeline_records_switches(self):
         env, engine, _ = make_engine()
         engine.request_switch(DeployMode.SERVERLESS, load=10.0)
         env.run(until=60.0)
-        assert [m for _, m in engine.mode_timeline] == [
+        assert [m for _, m in mode_timeline(engine)] == [
             DeployMode.IAAS,
             DeployMode.SERVERLESS,
         ]
-        assert len(engine.switch_events) == 1
-        t, target, load = engine.switch_events[0]
-        assert target is DeployMode.SERVERLESS and load == 10.0
+        (leg,) = engine.legs
+        assert leg.target is DeployMode.SERVERLESS and leg.load == 10.0
+        assert not leg.emergency and leg.abort_reason is None and not leg.forced_drain
 
     def test_mode_timeline_starts_with_the_initial_mode_at_t0(self):
         _, iaas_engine, _ = make_engine()
         _, fn_engine, _ = make_engine(initial=DeployMode.SERVERLESS)
-        assert iaas_engine.mode_timeline == [(0.0, DeployMode.IAAS)]
-        assert fn_engine.mode_timeline == [(0.0, DeployMode.SERVERLESS)]
+        assert mode_timeline(iaas_engine) == [(0.0, DeployMode.IAAS)]
+        assert mode_timeline(fn_engine) == [(0.0, DeployMode.SERVERLESS)]
 
     def test_flip_lands_after_the_request_and_routes_from_then_on(self):
         env, engine, _ = make_engine(config=AmoebaConfig(min_dwell=0.0, canary_fraction=0.0))
         env.run(until=5.0)
         engine.request_switch(DeployMode.SERVERLESS, load=10.0)
         env.run(until=60.0)
-        (t_req, _, _), = engine.switch_events
-        flip_t, mode = engine.mode_timeline[-1]
+        (leg,) = engine.legs
+        t_req, flip_t, mode = leg.time, leg.end, leg.target
         assert t_req == 5.0 < flip_t <= 60.0
         assert mode is engine.mode is DeployMode.SERVERLESS
         qs = send(env, engine, 2)
@@ -191,11 +198,11 @@ class TestTimelines:
         env.run(until=60.0)
         engine.request_switch(DeployMode.IAAS, load=20.0)
         env.run(until=400.0)
-        times = [t for t, _ in engine.mode_timeline]
-        assert [m for _, m in engine.mode_timeline] == [
+        times = [t for t, _ in mode_timeline(engine)]
+        assert [m for _, m in mode_timeline(engine)] == [
             DeployMode.IAAS,
             DeployMode.SERVERLESS,
             DeployMode.IAAS,
         ]
         assert times == sorted(times) and times[1] < 60.0 < times[2]
-        assert [t for t, _, _ in engine.switch_events] == [0.0, 60.0]
+        assert [leg.time for leg in engine.legs] == [0.0, 60.0]

@@ -2,7 +2,7 @@
 
 The acceptance bar: under lost acks, failed boots, stuck drains or plain
 bugs inside a switch leg, the engine never wedges — every aborted switch
-clears ``switching``, logs itself in ``switch_aborts``, re-enters dwell,
+clears ``switching``, ends its switch leg with an abort reason, re-enters dwell,
 and the service can still switch successfully later.
 """
 
@@ -21,6 +21,7 @@ from repro.sim.environment import Environment
 from repro.sim.rng import RngRegistry
 from repro.telemetry import ServiceMetrics
 from repro.workloads.functionbench import benchmark
+from tests.core.test_engine import mode_timeline
 
 QIDS = itertools.count()
 
@@ -45,6 +46,11 @@ def make_engine(config=None, initial=DeployMode.IAAS, plan=None, seed=6):
     return env, engine, faults
 
 
+def aborts(engine):
+    """(time, target, reason) of every aborted switch leg."""
+    return [(leg.end, leg.target, leg.abort_reason) for leg in engine.legs if leg.abort_reason]
+
+
 class TestAckLoss:
     CFG = AmoebaConfig(min_dwell=0.0, switch_ack_timeout=5.0)
 
@@ -56,7 +62,7 @@ class TestAckLoss:
         env.run(until=30.0)
         assert engine.mode is DeployMode.IAAS  # rolled back
         assert not engine.switching
-        ((t, target, reason),) = engine.switch_aborts
+        ((t, target, reason),) = aborts(engine)
         assert target is DeployMode.SERVERLESS
         assert reason == "prewarm ack deadline"
         assert t == pytest.approx(5.0)
@@ -76,7 +82,7 @@ class TestAckLoss:
         env.run(until=90.0)
         assert engine.mode is DeployMode.SERVERLESS
         assert not engine.switching
-        assert len(engine.switch_aborts) == 1
+        assert len(aborts(engine)) == 1
 
     def test_delayed_ack_within_deadline_still_flips(self):
         cfg = AmoebaConfig(min_dwell=0.0, switch_ack_timeout=60.0)
@@ -85,7 +91,7 @@ class TestAckLoss:
         engine.request_switch(DeployMode.SERVERLESS, load=10.0)
         env.run(until=90.0)
         assert engine.mode is DeployMode.SERVERLESS
-        assert engine.switch_aborts == []
+        assert aborts(engine) == []
         assert faults.stats.prewarm_acks_delayed == 1
 
 
@@ -101,7 +107,7 @@ class TestBootFailure:
         assert engine.mode is DeployMode.SERVERLESS
         assert not engine.switching
         assert engine.iaas.state is ServiceState.STOPPED  # rolled back
-        ((_, target, reason),) = engine.switch_aborts
+        ((_, target, reason),) = aborts(engine)
         assert target is DeployMode.IAAS
         assert "VMBootFailed" in reason
         # hypervisor heals: the switch-out must now succeed
@@ -121,7 +127,7 @@ class TestBootFailure:
         env.run(until=100.0)
         assert engine.mode is DeployMode.SERVERLESS
         assert not engine.switching
-        assert engine.switch_aborts[-1][2] == "vm boot deadline"
+        assert aborts(engine)[-1][2] == "vm boot deadline"
         # the straggling boot lands after the abort; the reaper undeploys
         # the unwanted rental instead of letting it bill forever
         env.run(until=500.0)
@@ -137,7 +143,7 @@ class TestBootFailure:
         )
         engine.request_switch(DeployMode.IAAS, load=20.0)
         env.run(until=40.0)
-        assert engine.switch_aborts  # deadline abort happened
+        assert aborts(engine)  # deadline abort happened
         assert engine.iaas.state is ServiceState.BOOTING
         # retry with a patient deadline: deploy() would raise in BOOTING,
         # so a successful flip proves the in-flight boot was re-joined
@@ -161,9 +167,9 @@ class TestDrainWatchdog:
         env.run(until=300.0)
         assert engine.mode is DeployMode.IAAS
         assert engine.iaas.state is ServiceState.RUNNING
-        assert engine.drain_force_releases == 1
+        assert [leg.forced_drain for leg in engine.legs] == [False, True]
         assert engine._drain_event is None
-        assert engine.switch_aborts == []  # delayed, not aborted
+        assert aborts(engine) == []  # delayed, not aborted
 
     def test_drain_finishing_in_time_cancels_the_watchdog(self):
         cfg = AmoebaConfig(min_dwell=0.0, drain_timeout=50.0)
@@ -181,7 +187,7 @@ class TestDrainWatchdog:
         env.schedule_callback(5.0, finish)
         env.run(until=300.0)
         assert engine.mode is DeployMode.IAAS
-        assert engine.drain_force_releases == 0
+        assert not any(leg.forced_drain for leg in engine.legs)
 
 
 class TestGuard:
@@ -197,7 +203,7 @@ class TestGuard:
         env.run(until=1.0)
         assert not engine.switching
         assert engine.mode is DeployMode.IAAS
-        assert engine.switch_aborts[-1][2] == "RuntimeError: kaboom"
+        assert aborts(engine)[-1][2] == "RuntimeError: kaboom"
 
     def test_body_exiting_without_flip_is_aborted(self):
         env, engine, _ = make_engine()
@@ -210,7 +216,7 @@ class TestGuard:
         engine.request_switch(DeployMode.SERVERLESS, load=5.0)
         env.run(until=5.0)
         assert not engine.switching
-        assert engine.switch_aborts[-1][2] == "switch process exited without flipping"
+        assert aborts(engine)[-1][2] == "switch process exited without flipping"
 
 
 class TestTimelineRecords:
@@ -221,9 +227,9 @@ class TestTimelineRecords:
         )
         engine.request_switch(DeployMode.SERVERLESS, load=10.0)
         env.run(until=30.0)
-        assert engine.switch_aborts
-        assert len(engine.switch_events) == 1  # the request is logged ...
-        assert engine.mode_timeline == [(0.0, DeployMode.IAAS)]  # ... the flip is not
+        (leg,) = engine.legs  # the request is logged ...
+        assert leg.abort_reason == "prewarm ack deadline"
+        assert mode_timeline(engine) == [(0.0, DeployMode.IAAS)]  # ... the flip is not
 
     def test_every_flip_changes_the_mode(self):
         env, engine, _ = make_engine()
@@ -233,6 +239,6 @@ class TestTimelineRecords:
         env.run(until=200.0)
         engine.request_switch(DeployMode.SERVERLESS, load=10.0)
         env.run(until=300.0)
-        modes = [m for _, m in engine.mode_timeline]
+        modes = [m for _, m in mode_timeline(engine)]
         assert len(modes) == 4
         assert all(a is not b for a, b in zip(modes, modes[1:]))

@@ -50,7 +50,7 @@ class TestBrownout:
         assert not engine.can_switch()
         assert not engine.request_switch(DeployMode.SERVERLESS, load=10.0)
         assert engine.mode is DeployMode.IAAS
-        assert not engine.switch_events
+        assert not engine.legs
 
     def test_switching_resumes_after_the_dwell(self):
         env, engine, gov = make_engine(policy=BREAKER_POLICY)
@@ -80,7 +80,8 @@ class TestAbortEvidence:
         )
         assert engine.request_switch(DeployMode.SERVERLESS, load=10.0)
         env.run(until=30.0)
-        assert len(engine.switch_aborts) == 1
+        (leg,) = engine.legs
+        assert leg.abort_reason == "prewarm ack deadline"
         # one abort carried enough weight to trip the breaker outright
         assert gov.breaker is not None and gov.breaker.trips == 1
         assert engine.in_brownout()

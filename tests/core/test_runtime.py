@@ -96,7 +96,7 @@ def test_deterministic_given_seed():
         return (
             svc.metrics.completed,
             svc.metrics.latency_percentile(95),
-            len(svc.engine.switch_events),
+            len(svc.engine.legs),
         )
 
     assert run_once() == run_once()

@@ -46,14 +46,12 @@ class TestSurgeDetection:
         rt = AmoebaRuntime(seed=7, config=FAST)
         svc = rt.add_service(benchmark("float"), ConstantTrace(5.0), limit=6)
         rt.run(until=600.0)
-        assert svc.controller.surge_periods == 0
         assert all(not d.surge for d in svc.controller.decisions)
 
     def test_flash_crowd_trips_the_detector(self):
         rt = AmoebaRuntime(seed=7, config=FAST)
         svc = rt.add_service(benchmark("float"), spike_trace(), limit=6)
         rt.run(until=600.0)
-        assert svc.controller.surge_periods >= 1
         surged = [d for d in svc.controller.decisions if d.surge]
         assert surged and all(d.time > 300.0 for d in surged)
         # tripped samples stay out of the EWMA, so a multi-period crowd
@@ -105,7 +103,7 @@ class TestEmergencyPreemptionSwitch:
         svc.engine.last_switch_time = rt.env.now  # dwell freshly armed
         assert not svc.engine.can_switch()
         svc.engine.handle_preemption(120.0)
-        assert svc.engine.preemption_switches == 1
+        assert [leg.emergency for leg in svc.engine.legs] == [True]
         rt.run(until=600.0)
         assert svc.engine.mode is DeployMode.SERVERLESS
 
@@ -114,7 +112,7 @@ class TestEmergencyPreemptionSwitch:
         # IaaS and let the drain protocol handle the reclamation
         rt, svc = make_pinned_runtime(limit=2, rate=25.0)
         svc.engine.handle_preemption(120.0)
-        assert svc.engine.preemption_switches == 0
+        assert not svc.engine.legs
         assert svc.engine.mode is DeployMode.IAAS
 
     def test_notice_is_a_noop_when_already_serverless(self):
@@ -123,7 +121,7 @@ class TestEmergencyPreemptionSwitch:
         rt.run(until=600.0)
         assert svc.engine.mode is DeployMode.SERVERLESS
         svc.engine.handle_preemption(120.0)
-        assert svc.engine.preemption_switches == 1  # the first one only
+        assert [leg.emergency for leg in svc.engine.legs] == [True]  # the first one only
 
     def test_full_path_graceful_episode_under_management(self):
         # end to end: watcher -> notice -> drain -> replacement, with the

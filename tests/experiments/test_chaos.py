@@ -44,7 +44,7 @@ class TestDeterminismGates:
         b = run_amoeba(chaos_scenario("matmul", fault_scale=1.0, day=900.0, seed=3))
         assert a.faults is not None and b.faults is not None
         assert a.faults.injected == b.faults.injected
-        assert a.faults.switch_aborts == b.faults.switch_aborts
+        assert a.services["matmul"].switch_legs == b.services["matmul"].switch_legs
         assert _latency_hex(a) == _latency_hex(b)
 
     def test_faulted_run_differs_from_zero_fault_run(self):
@@ -89,12 +89,11 @@ class TestChaosEndToEnd:
         )
         scenario = chaos_scenario("matmul", plan=plan, day=2400.0, seed=5)
         result = run_amoeba(scenario)
-        fs = result.faults
-        assert fs is not None
+        assert result.faults is not None
+        fg = result.services["matmul"]
         # faults of both classes actually struck the switch protocol
-        assert fs.switch_aborts, "expected at least one aborted switch"
-        for t, target, reason in fs.switch_aborts:
-            assert target in ("iaas", "serverless")
-            assert reason  # every abort carries its cause
+        aborted = [leg for leg in fg.switch_legs if leg.abort_reason is not None]
+        assert aborted, "expected at least one aborted switch"
+        assert all(leg.abort_reason for leg in aborted)  # every abort carries its cause
         # ... and yet the engine kept flipping: no permanent wedge
-        assert fs.switches_completed >= 1
+        assert len(fg.mode_timeline) >= 2

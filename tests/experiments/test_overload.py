@@ -41,8 +41,8 @@ class TestDisabledPolicyBitIdentity:
         base = default_scenario("matmul", day=600.0, seed=0)
         wired = run_amoeba(replace(base, overload=OverloadPolicy.disabled()))
         ov = wired.overload
-        assert all(count == 0 for count in ov.drops.values())
-        assert ov.total_rejections == 0
+        assert wired.services["matmul"].metrics.drops.total == 0
+        assert sum(ov.rejections.values()) == 0
         assert ov.breaker_state == "disabled"
         assert ov.breaker_transitions == ()
 
@@ -71,7 +71,7 @@ class TestOverloadScenario:
         ov = result.overload
         assert ov is not None and ov.policy_enabled
         # enough pressure that protection actually engaged
-        assert sum(ov.drops.values()) > 0
+        assert metrics.drops.total > 0
         assert metrics.completed > 0
         # admitted queries stay inside QoS under 2.5x offered load + faults
         assert metrics.latency_percentile(95) <= metrics.qos_target
@@ -79,8 +79,6 @@ class TestOverloadScenario:
         assert 0 < ov.peak_queue_depth_serverless <= policy.max_queue_depth
         assert 0 < ov.peak_queue_depth_iaas <= policy.max_queue_depth
         # the breaker's full lifecycle is visible in telemetry
-        assert ov.breaker_trips + ov.breaker_reopens > 0
-        assert ov.breaker_half_opens > 0
         assert ov.breaker_state in ("closed", "open", "half_open")
         states = [state for _, state in ov.breaker_transitions]
         assert "open" in states and "half_open" in states

@@ -67,8 +67,9 @@ class TestZeroPreemptionIdentity:
         spotted = run_amoeba(replace(sc, spot=SpotSpec(fraction=0.5)))
         assert _latency_hex(spotted) == _latency_hex(plain)
         assert plain.overload is not None and spotted.overload is not None
-        assert spotted.overload.preemptions == plain.overload.preemptions
-        assert spotted.overload.preemptions["noticed"] == 0
+        preemptions = spotted.services["matmul"].metrics.preemptions
+        assert preemptions == plain.services["matmul"].metrics.preemptions
+        assert preemptions["noticed"] == 0
 
     def test_fleet_member_scenario(self):
         _, sc = fleet_scenarios(services=1, day=300.0, seed=0)[0]

@@ -99,15 +99,15 @@ class TestHalfOpen:
         breaker = self._half_open()
         feed(breaker, 20.0, [False] * 4)
         assert breaker.state is BreakerState.CLOSED
-        assert breaker.closes == 1
-        assert breaker.total_opens == 1
+        assert [state for _t, state in breaker.transitions] == ["open", "half_open", "closed"]
+        assert breaker.trips == 1
 
     def test_bad_probe_batch_reopens(self):
         breaker = self._half_open()
         feed(breaker, 20.0, [True, True, False, False])
         assert breaker.state is BreakerState.OPEN
-        assert breaker.reopens == 1
-        assert breaker.total_opens == 2
+        assert [state for _t, state in breaker.transitions] == ["open", "half_open", "open"]
+        assert breaker.trips == 1  # the second OPEN edge is a reopen, not a trip
         assert breaker.opened_at == 20.0  # dwell restarts from the reopen
 
     def test_close_resets_the_window_history(self):

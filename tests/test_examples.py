@@ -1,7 +1,9 @@
 """The runnable examples stay runnable.
 
-Only the fast examples run here (the heavier multi-system tours are
-exercised by the benchmark suite through the same code paths).
+Only the fast examples run here, plus the one multi-system day that
+prints Amoeba's switch list from ``ServiceResult.switch_events`` (the
+heavier tours are exercised by the benchmark suite through the same code
+paths).
 """
 
 import runpy
@@ -32,6 +34,13 @@ def test_quickstart(capsys):
     assert "completed queries" in out
     assert "deploy-mode switches" in out
     assert "reduction" in out
+
+
+def test_multi_tenant_day(capsys):
+    out = run_example("multi_tenant_day.py", capsys)
+    assert "Amoeba's switches (time, target, load):" in out
+    assert "-> serverless" in out
+    assert "background services under Amoeba" in out
 
 
 def test_contention_profiling(capsys):

@@ -29,7 +29,7 @@ class TestBurstReaction:
         rt = AmoebaRuntime(seed=5, config=FAST)
         svc = rt.add_service(benchmark("float"), trace, limit=3)
         rt.run(until=1500.0)
-        directions = [d.value for _t, d, _l in svc.engine.switch_events]
+        directions = [leg.target.value for leg in svc.engine.legs]
         # in at low load, out during the burst, back in after it
         assert "serverless" in directions
         assert "iaas" in directions
@@ -42,7 +42,7 @@ class TestBurstReaction:
         rt = AmoebaRuntime(seed=5, config=FAST)
         svc = rt.add_service(benchmark("float"), trace, limit=3)
         rt.run(until=1500.0)
-        out_times = [t for t, d, _l in svc.engine.switch_events if d is DeployMode.IAAS]
+        out_times = [leg.time for leg in svc.engine.legs if leg.target is DeployMode.IAAS]
         assert out_times
         assert 400.0 <= out_times[0] <= 950.0
 
@@ -59,7 +59,7 @@ class TestGuardProtection:
         svc = rt.add_service(hostile, ConstantTrace(8.0), limit=12)
         rt.run(until=600.0)
         blocked = [d for d in svc.controller.decisions if d.guard_blocked]
-        allowed = [d for d in svc.controller.decisions if d.switched]
+        allowed = [d for d in svc.controller.decisions if d.switch_target is not None]
         # either the guard blocked at least once, or the discriminant
         # itself already refused — but never both zero AND switched in
         if svc.engine.mode is DeployMode.SERVERLESS:
@@ -121,7 +121,7 @@ class TestDeterminismAcrossSubsystems:
             return (
                 svc.metrics.completed,
                 round(svc.metrics.latency_percentile(95), 12),
-                tuple(round(t, 9) for t, _d, _l in svc.engine.switch_events),
+                tuple(round(leg.time, 9) for leg in svc.engine.legs),
                 round(rt.service_usage("float").cpu_core_seconds, 9),
             )
 
@@ -153,20 +153,28 @@ class TestOpenLoopOverload:
 def _history(result, name="matmul"):
     """Every switch, decision and breaker count one run's result records."""
     fg = result.services[name]
-    fs, ov = result.faults, result.overload
+    legs, decisions, ov = fg.switch_legs, fg.decisions, result.overload
+    breaker = None
+    if ov is not None:
+        states = [state for _t, state in ov.breaker_transitions]
+        edges = list(zip(["closed", *states], states))
+        breaker = (
+            edges.count(("closed", "open")),
+            edges.count(("half_open", "open")),
+            states.count("half_open"),
+            states.count("closed"),
+            ov.breaker_state,
+        )
     return {
         "requests": fg.switch_events,
         "flips": fg.mode_timeline[1:],
-        "aborts": list(fs.switch_aborts),
-        "forced_drains": fs.drain_force_releases,
-        "emergency": fs.preemption_switches,
-        "safe_mode": fs.safe_mode_periods,
-        "brownout": None if ov is None else ov.brownout_periods,
-        "surge": None if ov is None else ov.surge_periods,
-        "breaker": None if ov is None else (
-            ov.breaker_trips, ov.breaker_reopens, ov.breaker_half_opens,
-            ov.breaker_closes, ov.breaker_state,
-        ),
+        "aborts": [(leg.end, leg.target.value, leg.abort_reason) for leg in legs if leg.abort_reason],
+        "forced_drains": sum(leg.forced_drain for leg in legs),
+        "emergency": sum(leg.emergency for leg in legs),
+        "safe_mode": sum(d.safe_mode for d in decisions),
+        "brownout": None if ov is None else sum(d.brownout for d in decisions),
+        "surge": None if ov is None else sum(d.surge for d in decisions),
+        "breaker": breaker,
     }
 
 

@@ -30,7 +30,7 @@ KEEP = {  # reason -> names kept without a reader in src/benchmarks/examples
         "any_faults", "container_memory_in_use", "critical_path_cost", "current_cores",
         "current_memory_mb", "describe", "feedback_count", "memory_in_use_mb",
         "predicted_sojourn", "refit_count", "registered", "sinks", "slowdown_for",
-        "total_opens", "warm_count", "with_scale",
+        "warm_count", "with_scale",
     ),
 }
 
