@@ -12,6 +12,8 @@ Three claims (DESIGN.md §13):
   flat scenario.
 """
 
+import hashlib
+
 import pytest
 
 from repro.experiments.dag import dag_scenario
@@ -20,6 +22,7 @@ from repro.experiments.graphrun import run_graph
 from repro.experiments.runner import run_amoeba
 from repro.experiments.scenarios import Scenario, sized_reservoir
 from repro.graph import GraphScenario, chain_topology
+from repro.graph.runtime import GraphRuntime
 from repro.workloads import ConstantTrace, benchmark
 
 
@@ -83,6 +86,101 @@ class TestCascadeDeterminism:
         # instead of taking candidates from the root's arrival process
         offered = {d: run_graph(dag_scenario(d, day=60.0)).graph.offered for d in (1, 2)}
         assert offered[1] == offered[2]
+
+
+def _failure_history(resilient):
+    """Every drop, retry, edge shed and breaker edge of one depth-4 leg."""
+    gr = GraphRuntime(dag_scenario(4, seed=0, day=120.0, resilient=resilient))
+    gr.run()
+    g = gr.summary()
+    nodes = gr.services.items()
+    return {
+        "drops": {n: {k: v for k, v in m.metrics.drops.items() if v} for n, m in nodes},
+        "retries": {n: {k: v for k, v in m.metrics.retries.items() if v} for n, m in nodes},
+        "sheds": dict(g.backpressure_sheds),
+        "transitions": {n: m.overload.breaker.transitions for n, m in nodes},
+        "graph": (g.offered, g.completed, g.failed),
+        "latency_sha256": hashlib.sha256(" ".join(x.hex() for x in g.latencies).encode()).hexdigest(),
+    }
+
+
+class TestFailurePathPins:
+    """The failed-attempt history of the dag pair at seed 0, as literals.
+
+    Recorded before the drop sites were merged into one function; any
+    rewrite of the rejected, shed or retried attempt must bring every
+    value back unchanged.
+    """
+
+    def test_budgeted_leg(self):
+        assert _failure_history(resilient=True) == {
+            "drops": {
+                "matmul": {"admission": 2, "shed": 60},
+                "matmul_1": {"admission": 57, "shed": 5},
+                "matmul_2": {"admission": 1067, "shed": 1999},
+                "matmul_3": {},
+            },
+            "retries": {
+                "matmul": {"attempted": 36, "deadline_abandoned": 26},
+                "matmul_1": {"attempted": 170, "exhausted": 82, "deadline_abandoned": 311},
+                "matmul_2": {"attempted": 44, "exhausted": 22, "deadline_abandoned": 6},
+                "matmul_3": {},
+            },
+            "sheds": {"matmul_1->matmul_2": 72, "matmul->matmul_1": 501},
+            "transitions": {
+                "matmul": [
+                    (52.43722124552893, "open"),
+                    (112.43722124552893, "half_open"),
+                    (113.94539386396538, "closed"),
+                ],
+                "matmul_1": [
+                    (54.371516559519534, "open"),
+                    (114.37151655951953, "half_open"),
+                    (118.33518310131383, "open"),
+                ],
+                "matmul_2": [
+                    (31.63248429541589, "open"),
+                    (91.63248429541589, "half_open"),
+                    (95.99394009178017, "open"),
+                ],
+                "matmul_3": [],
+            },
+            "graph": (603, 154, 447),
+            "latency_sha256": "c23698293492eac756be0285ee6f33a64ab0ed9f0491e4326729306dc5a8aa5e",
+        }
+
+    def test_naive_leg(self):
+        assert _failure_history(resilient=False) == {
+            "drops": {
+                "matmul": {"admission": 82, "shed": 1092, "breaker": 252},
+                "matmul_1": {"shed": 126},
+                "matmul_2": {"shed": 2149, "breaker": 4001},
+                "matmul_3": {"shed": 47},
+            },
+            "retries": {
+                "matmul": {"attempted": 1426},
+                "matmul_1": {"attempted": 126},
+                "matmul_2": {"attempted": 2859},
+                "matmul_3": {"attempted": 47},
+            },
+            "sheds": {},
+            "transitions": {
+                "matmul": [
+                    (17.407470311413757, "open"),
+                    (77.40747031141376, "half_open"),
+                    (78.00100935961011, "open"),
+                ],
+                "matmul_1": [(64.2653872261218, "open")],
+                "matmul_2": [
+                    (32.89409849827536, "open"),
+                    (92.89409849827535, "half_open"),
+                    (93.66045676201034, "open"),
+                ],
+                "matmul_3": [(103.91621571452542, "open")],
+            },
+            "graph": (603, 238, 0),
+            "latency_sha256": "7e95553bc5d0981d63e4ce882a989b8304a211865d37a5aee3d2659cb6942a66",
+        }
 
 
 class TestSingleNodeFlatIdentity:
