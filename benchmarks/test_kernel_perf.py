@@ -293,3 +293,40 @@ def test_wall_time_per_simulated_hour(benchmark):
     completed, wall = benchmark.pedantic(run, rounds=1, iterations=1)
     assert completed > 50_000
     assert wall < 90.0
+
+
+def test_failed_attempt_call_budget():
+    """Work guard for the failure path: Python calls into repro per node arrival.
+
+    A short naive leg of the depth-4 dag cascade spends most arrivals on
+    attempts that fail: rejected at the door by admission or the
+    breaker's drop-tail, shed from a queue, then retried.  Every one of
+    them must stay cheap.  The count of Python frames entered in
+    ``src/repro`` does not depend on the machine, so it is a gate
+    rather than a trajectory: it measured 60.8 per node arrival (73.0
+    before the drop sites shared one path), and the bound allows 10%.
+    """
+    import sys
+    from pathlib import Path
+
+    import repro
+    from repro.experiments.dag import dag_scenario
+    from repro.graph.runtime import GraphRuntime
+
+    src = str(Path(repro.__file__).resolve().parent)
+    gr = GraphRuntime(dag_scenario(4, seed=0, day=60.0, resilient=False))
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(src):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        gr.run()
+    finally:
+        sys.setprofile(None)
+    arrivals = sum(m.metrics.load.total for m in gr.services.values())
+    assert arrivals > 3000  # the storm really happened
+    assert calls / arrivals <= 67.0, (calls, arrivals)

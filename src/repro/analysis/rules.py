@@ -179,7 +179,7 @@ _RNG_ALLOWED = ("sim/rng.py",)
 _TIME_NAME_RE = re.compile(r"^(now|t_\w+|\w*_time|\w*deadline\w*)$")
 
 #: attribute calls that (re-)arm an event on the heap (SIM004)
-_EVENT_ARM_METHODS = {"succeed", "fail", "trigger"}
+_EVENT_ARM_METHODS = {"succeed", "fail"}
 _SCHEDULER_FUNCS = {"schedule", "schedule_callback", "_enqueue"}
 
 #: AST nodes that build a fresh mutable object per evaluation (SIM005)

@@ -26,7 +26,7 @@ from repro.iaas.sizing import RPC_OVERHEAD, SizingResult
 from repro.overload import OverloadGovernor
 from repro.sim import Environment, Event, Resource, RngRegistry, TimeSeries
 from repro.sim.events import Callback
-from repro.telemetry import ServiceMetrics
+from repro.telemetry import ServiceMetrics, drop_query
 from repro.workloads import MicroserviceSpec, Query
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -85,9 +85,6 @@ class IaaSService:
         self.state = ServiceState.STOPPED
         self.in_flight = 0
         self.completions = 0
-        #: queries rejected at dispatch / shed after queueing (overload)
-        self.rejected = 0
-        self.shed = 0
         #: worker-queue depth observability, sampled around each request
         self.queue_depth = TimeSeries(min_interval=1.0)
         #: exact high-water mark (the TimeSeries decimates, this does not)
@@ -350,13 +347,9 @@ class IaaSService:
         for token, query in doomed:
             del self._active[token]
             query.preempt_killed = True
-            query.failed = True
-            query.t_complete = now
-            query.served_by = "iaas"
             if self.metrics is not None:
-                self.metrics.record_drop(query, "preempted")
                 self.metrics.preemptions.add("killed_inflight")
-            query.notify_done()
+            drop_query(query, "preempted", now, "iaas", self.metrics, self.overload)
             self.in_flight -= 1
         self._maybe_release()
 
@@ -397,19 +390,20 @@ class IaaSService:
         """
         if self.state in (ServiceState.STOPPED, ServiceState.BOOTING):
             raise RuntimeError(f"invoke() while {self.spec.name} is {self.state.value}")
-        if self.metrics is not None:
-            self.metrics.record_arrival(self.env.now, canary=query.canary)
+        now = self.env.now
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.record_arrival(now, query.canary)
         gov = self.overload
         if gov is not None:
-            reason = gov.admit_iaas(
-                queued=self.workers.queue_length,
-                busy=self.workers.count,
-                capacity=self.workers.capacity,
-                now=self.env.now,
-                deadline=query.local_budget(self.env.now),
+            workers = self.workers
+            reason = gov.admit(
+                workers.queue_length, workers.count, self._worker_capacity,
+                gov.mu_iaas, now, query.local_budget(now),
             )
             if reason is not None:
-                self._drop(query, reason)
+                # rejected at dispatch (reason admission/breaker)
+                drop_query(query, reason, now, "iaas", metrics, gov)
                 return
         self.in_flight += 1
         # Nameko RPC dispatch overhead.  The query runs as a callback chain
@@ -417,18 +411,9 @@ class IaaSService:
         # a generator process would add a bootstrap event and a timeout
         Callback(self.env, RPC_OVERHEAD, partial(self._claim_worker, query))
 
-    def _drop(self, query: Query, reason: str) -> None:
-        """Reject one arrival at dispatch (reason ``admission``/``breaker``)."""
-        self.rejected += 1
-        query.failed = True
-        query.t_complete = self.env.now
-        query.served_by = "iaas"
-        if self.metrics is not None:
-            self.metrics.record_drop(query, reason)
-        assert self.overload is not None
-        if not query.canary:
-            self.overload.note_rejection(reason, self.env.now)
-        query.notify_done()
+    def _worker_capacity(self) -> int:
+        """Worker slots right now (admission reads it at the M/M/N check)."""
+        return self.workers.capacity
 
     def _claim_worker(self, query: Query) -> None:
         """The RPC overhead has passed: queue for a worker slot."""
@@ -454,15 +439,7 @@ class IaaSService:
             # the query's accumulated queue wait already blew its budget:
             # free the worker slot for one that can still meet QoS
             self.workers.release(req)
-            self.shed += 1
-            query.failed = True
-            query.t_complete = now
-            query.served_by = "iaas"
-            if self.metrics is not None:
-                self.metrics.record_drop(query, "shed")
-            if not query.canary:
-                gov.note_rejection("shed", now)
-            query.notify_done()
+            drop_query(query, "shed", now, "iaas", self.metrics, gov)
             self.in_flight -= 1
             self._maybe_release()
             return
@@ -484,13 +461,14 @@ class IaaSService:
             # the machine work that just finished was the ghost of the
             # killed execution
             return
+        now = self.env.now
         query.breakdown["exec"] = exec_t
-        query.t_complete = self.env.now
+        query.t_complete = now
         query.served_by = "iaas"
         if self.metrics is not None:
             self.metrics.record_completion(query)
         if gov is not None and not query.canary:
-            gov.note_outcome(query.latency <= spec.qos_target, self.env.now)
+            gov.note_outcome(query.latency <= spec.qos_target, now)
         query.notify_done()
         self.completions += 1
         self.in_flight -= 1

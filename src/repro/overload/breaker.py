@@ -51,6 +51,9 @@ class CircuitBreaker:
         self.state = BreakerState.CLOSED
         #: Sim time of the most recent CLOSED/HALF_OPEN -> OPEN edge.
         self.opened_at = -math.inf
+        #: ``opened_at + dwell``: while OPEN, the time the HALF_OPEN edge
+        #: is due (the one comparison an OPEN breaker's hot path makes)
+        self._dwell_end = -math.inf
         #: Every state edge as ``(time, new_state_value)`` — the breaker's
         #: one history store; every lifecycle count is read from it.
         self.transitions: List[Tuple[float, str]] = []
@@ -66,11 +69,12 @@ class CircuitBreaker:
         """Feed one outcome (optionally weighted) into the breaker."""
         if weight < 1:
             return
-        self.advance(now)
         if self.state is BreakerState.OPEN:
-            # Outcomes during a brownout are consequences of the trip,
-            # not fresh evidence; only the dwell re-opens the question.
-            return
+            if now < self._dwell_end:
+                # Outcomes during a brownout are consequences of the trip,
+                # not fresh evidence; only the dwell re-opens the question.
+                return
+            self.advance(now)
         if self.state is BreakerState.HALF_OPEN:
             self._probe_total += weight
             if bad:
@@ -99,8 +103,12 @@ class CircuitBreaker:
 
     def is_open(self, now: float) -> bool:
         """True while the breaker is OPEN (advances the dwell lazily)."""
+        if self.state is not BreakerState.OPEN:
+            return False
+        if now < self._dwell_end:
+            return True
         self.advance(now)
-        return self.state is BreakerState.OPEN
+        return False
 
     def advance(self, now: float) -> None:
         """Apply the time-driven OPEN -> HALF_OPEN edge if it is due.
@@ -109,12 +117,10 @@ class CircuitBreaker:
         logically happened — not at ``now``, so the transition log is
         identical no matter when the breaker is next consulted.
         """
-        if self.state is BreakerState.OPEN:
-            due = self.opened_at + self.policy.breaker_dwell_s
-            if now >= due:
-                self._probe_total = 0
-                self._probe_bad = 0
-                self._transition(due, BreakerState.HALF_OPEN)
+        if self.state is BreakerState.OPEN and now >= self._dwell_end:
+            self._probe_total = 0
+            self._probe_bad = 0
+            self._transition(self._dwell_end, BreakerState.HALF_OPEN)
 
     @property
     def trips(self) -> int:
@@ -127,6 +133,7 @@ class CircuitBreaker:
 
     def _open(self, now: float) -> None:
         self.opened_at = now
+        self._dwell_end = now + self.policy.breaker_dwell_s
         self._window.clear()
         self._bad = 0
         self._transition(now, BreakerState.OPEN)

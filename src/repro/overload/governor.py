@@ -15,7 +15,7 @@ bit-identical to running without the layer.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Optional
 
 from repro.overload.admission import meets_deadline
 from repro.overload.breaker import CircuitBreaker
@@ -55,52 +55,47 @@ class OverloadGovernor:
 
     # -- admission -----------------------------------------------------
 
-    def admit_serverless(
-        self, queued: int, busy: int, capacity: int, now: float, deadline: Optional[float] = None
-    ) -> Optional[str]:
-        """Admission verdict at the serverless frontend.
-
-        Returns ``None`` to admit, else the drop reason.  ``deadline``
-        is a per-query *remaining* end-to-end budget (call-graph runs);
-        None keeps the service's own QoS target, which is bit-identical
-        to the pre-graph behaviour.
-        """
-        return self._admit(queued, busy, capacity, self.mu_serverless, now, deadline)
-
-    def admit_iaas(
-        self, queued: int, busy: int, capacity: int, now: float, deadline: Optional[float] = None
-    ) -> Optional[str]:
-        """Admission verdict at IaaS dispatch.  ``None`` admits."""
-        return self._admit(queued, busy, capacity, self.mu_iaas, now, deadline)
-
-    def _admit(
+    def admit(
         self,
         queued: int,
         busy: int,
-        capacity: int,
+        capacity: Callable[[], int],
         mu: float,
         now: float,
         deadline: Optional[float] = None,
     ) -> Optional[str]:
+        """Admission verdict for one arrival; ``None`` admits, else the drop reason.
+
+        Checks the brownout drop-tail, then the queue bound, then the
+        M/M/N model for ``mu``, the calling platform's per-server rate
+        (:attr:`mu_serverless` or :attr:`mu_iaas`).  ``capacity`` returns
+        the server count and is only called once the model is consulted.
+        ``deadline`` is a per-query *remaining* end-to-end budget
+        (call-graph runs); None keeps the service's own QoS target,
+        which is bit-identical to the pre-graph behaviour.
+        """
         policy = self.policy
         if not policy.enabled:
             return None
+        breaker = self.breaker
         if (
             policy.brownout_queue_depth > 0
-            and self.brownout(now)
+            and breaker is not None
+            and breaker.is_open(now)
             and queued >= policy.brownout_queue_depth
         ):
             return "breaker"
         if queued >= policy.max_queue_depth:
             return "admission"
         if policy.admission_control:
-            if capacity < 1:
+            servers = capacity()
+            if servers < 1:
                 return "admission"
             target = self.qos_target if deadline is None else deadline
             if target <= 0.0:
                 # dead on arrival: the propagated budget is already spent
                 return "admission"
-            if not meets_deadline(queued, busy, capacity, mu, target, policy.admission_slack):
+            if not meets_deadline(queued, busy, servers, mu, target, policy.admission_slack):
                 return "admission"
         return None
 

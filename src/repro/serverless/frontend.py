@@ -9,9 +9,10 @@ the controller's load estimate reflects offered load, not completed load.
 
 from __future__ import annotations
 
-from repro.serverless.pool import ContainerPool, FunctionState
+from repro.serverless.pool import ContainerPool
 from repro.serverless.config import ServerlessConfig
 from repro.sim import Environment, RngRegistry
+from repro.telemetry import drop_query
 from repro.workloads import Query
 
 __all__ = ["Frontend"]
@@ -31,9 +32,6 @@ class Frontend:
         self.pool = pool
         self.config = config
         self.rng = rng
-        self.accepted = 0
-        #: queries rejected at admission (overload layer)
-        self.rejected = 0
         #: per-service overhead samplers, built lazily (stream identity is
         #: name-keyed, so caching the sampler changes no draw sequence)
         self._proc_draw: dict = {}
@@ -52,21 +50,20 @@ class Frontend:
         nothing, so the per-service stream sees the same invoke() order.
         """
         fs = self.pool.state(query.service)
-        if fs.metrics is not None:
-            fs.metrics.record_arrival(self.env.now, canary=query.canary)
+        now = self.env.now
+        metrics = fs.metrics
+        if metrics is not None:
+            metrics.record_arrival(now, query.canary)
         gov = fs.overload
         if gov is not None:
-            reason = gov.admit_serverless(
-                queued=len(fs.queue),
-                busy=fs.n_busy,
-                capacity=self.pool.n_max(query.service),
-                now=self.env.now,
-                deadline=query.local_budget(self.env.now),
+            # the pool's n_max is only computed if the M/M/N check is reached
+            reason = gov.admit(
+                len(fs.queue), fs.n_busy, fs.capacity, gov.mu_serverless, now, query.local_budget(now)
             )
             if reason is not None:
-                self._reject(fs, query, reason)
+                # rejected at the door (reason admission/breaker)
+                drop_query(query, reason, now, "serverless", metrics, gov)
                 return
-        self.accepted += 1
         if not query.canary:
             # conservation census: terminal paths in the pool decrement
             fs.user_in_flight += 1
@@ -84,16 +81,3 @@ class Frontend:
             self.pool.submit(query)
 
         self.env.schedule_callback(proc, deliver)
-
-    def _reject(self, fs: FunctionState, query: Query, reason: str) -> None:
-        """Drop one arrival at the door (reason ``admission``/``breaker``)."""
-        self.rejected += 1
-        query.failed = True
-        query.t_complete = self.env.now
-        query.served_by = "serverless"
-        if fs.metrics is not None:
-            fs.metrics.record_drop(query, reason)
-        assert fs.overload is not None
-        if not query.canary:
-            fs.overload.note_rejection(reason, self.env.now)
-        query.notify_done()

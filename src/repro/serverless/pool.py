@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Deque, Dict, Iterator, Optional, Tuple
 
 from repro.cluster import DemandVector, MachineModel, SensitivityVector, UsageLedger
@@ -28,7 +29,7 @@ from repro.serverless.config import ServerlessConfig
 from repro.serverless.container import Container, ContainerState
 from repro.sim import Environment, Event, RngRegistry, TimeSeries
 from repro.sim.events import Callback
-from repro.telemetry import ServiceMetrics
+from repro.telemetry import ServiceMetrics, drop_query
 from repro.workloads import MicroserviceSpec, Query
 
 __all__ = ["ContainerPool", "FunctionState"]
@@ -81,6 +82,9 @@ class FunctionState:
     #: identity is name-keyed, so caching changes no draw sequence)
     _warm_draw: Optional[Callable[[], float]] = None
     _exec_draw: Optional[Callable[[], float]] = None
+    #: this function's :meth:`ContainerPool.n_max`, computed on call
+    #: (admission only reaches it at the M/M/N check)
+    capacity: Callable[[], int] = field(init=False)
 
     @property
     def total_containers(self) -> int:
@@ -135,6 +139,7 @@ class ContainerPool:
             keep_alive=keep_alive,
             overload=overload,
         )
+        fs.capacity = partial(self._n_max_of, fs)
         fs._warm_draw = self.rng.lognormal_sampler(f"warmload/{spec.name}", 1.0, 0.15)
         fs._exec_draw = self.rng.lognormal_sampler(
             f"exec/{spec.name}", spec.exec_time, spec.exec_sigma
@@ -161,10 +166,13 @@ class ContainerPool:
         free-memory bound counts this function's own containers as
         reusable.
         """
-        fs = self.state(name)
-        free_mb = self.config.pool_memory_mb - self._container_memory_in_use
-        own_mb = fs.total_containers * self.config.container_memory_mb
-        mem_bound = int((free_mb + own_mb) // self.config.container_memory_mb)
+        return self._n_max_of(self.state(name))
+
+    def _n_max_of(self, fs: FunctionState) -> int:
+        cfg = self.config
+        free_mb = cfg.pool_memory_mb - self._container_memory_in_use
+        own_mb = (fs.n_init + fs.n_busy + len(fs.idle)) * cfg.container_memory_mb
+        mem_bound = int((free_mb + own_mb) // cfg.container_memory_mb)
         return min(fs.limit, mem_bound)
 
     # -- submission -----------------------------------------------------------
@@ -182,12 +190,12 @@ class ContainerPool:
                 fs.peak_queue_depth = 1
             gov = fs.overload
             if gov is not None and gov.should_shed(0.0, target=query.local_budget(now)):
-                self._shed(fs, query, 0.0)
+                self._shed(fs, query, 0.0, now)
                 return
             self._assign(fs, fs.idle.popleft(), query, now)
             return
         fs.queue.append((query, now))
-        self._note_queue(fs)
+        self._note_queue(fs, now)
         self._pump(fs)
 
     def _pump(self, fs: FunctionState) -> None:
@@ -203,10 +211,10 @@ class ContainerPool:
         while len(fs.queue) > fs.n_init and self._can_launch(fs):
             self._launch(fs)
 
-    def _note_queue(self, fs: FunctionState) -> None:
+    def _note_queue(self, fs: FunctionState, now: float) -> None:
         """Sample the queue depth into the observability timeline."""
         depth = len(fs.queue)
-        fs.queue_depth.record(self.env.now, float(depth))
+        fs.queue_depth.record(now, float(depth))
         if depth > fs.peak_queue_depth:
             fs.peak_queue_depth = depth
 
@@ -219,30 +227,23 @@ class ContainerPool:
         and is dropped (reason ``shed``) rather than occupying one.
         """
         gov = fs.overload
-        while fs.queue:
-            query, t_enq = fs.queue.popleft()
-            self._note_queue(fs)
-            if gov is not None and gov.should_shed(
-                self.env.now - t_enq, target=query.local_budget(t_enq)
-            ):
-                self._shed(fs, query, self.env.now - t_enq)
+        now = self.env.now
+        queue = fs.queue
+        while queue:
+            query, t_enq = queue.popleft()
+            self._note_queue(fs, now)
+            if gov is not None and gov.should_shed(now - t_enq, target=query.local_budget(t_enq)):
+                self._shed(fs, query, now - t_enq, now)
                 continue
             return query, t_enq
         return None
 
-    def _shed(self, fs: FunctionState, query: Query, waited: float) -> None:
-        """Drop one expired queued query."""
+    def _shed(self, fs: FunctionState, query: Query, waited: float, now: float) -> None:
+        """Drop one expired queued query (reason ``shed``)."""
         query.breakdown["queue"] = waited
-        query.failed = True
-        query.t_complete = self.env.now
-        query.served_by = "serverless"
-        if fs.metrics is not None:
-            fs.metrics.record_drop(query, "shed")
-        if fs.overload is not None and not query.canary:
-            fs.overload.note_rejection("shed", self.env.now)
         if not query.canary:
             fs.user_in_flight -= 1
-        query.notify_done()
+        drop_query(query, "shed", now, "serverless", fs.metrics, fs.overload)
 
     def _can_launch(self, fs: FunctionState) -> bool:
         cfg = self.config
@@ -332,9 +333,10 @@ class ContainerPool:
             # warm reuse disabled: tear the container down right away
             self._retire(fs, container)
             return
+        now = self.env.now
         container.state = ContainerState.IDLE
-        container.warm_since = self.env.now
-        container.reap_at = self.env.now + max(keep_alive, 1e-3)
+        container.warm_since = now
+        container.reap_at = now + max(keep_alive, 1e-3)
         fs.idle.append(container)
         self._arm_reaper(fs)
 
@@ -385,11 +387,12 @@ class ContainerPool:
         # no reap timer to cancel: the per-function reaper skips
         # containers that are no longer parked in the idle deque
         fs.n_busy += 1
-        wait = self.env.now - t_enqueue
+        now = self.env.now
+        wait = now - t_enqueue
         if fresh_cold:
             # the query waited (at least partly) on this container's cold
             # start: attribute that share of the wait to "cold"
-            cold_elapsed = self.env.now - container.created_at
+            cold_elapsed = now - container.created_at
             cold_part = min(wait, cold_elapsed)
             query.breakdown["cold"] = cold_part
             query.breakdown["queue"] = wait - cold_part
@@ -454,17 +457,11 @@ class ContainerPool:
             self.env.schedule_callback(max(backoff, 1e-6), lambda: self.submit(query))
         else:
             self.faults.stats.queries_dropped += 1
-            query.failed = True
-            query.t_complete = self.env.now
-            query.served_by = "serverless"
             if fs.metrics is not None:
                 fs.metrics.retries.add("exhausted")
-                fs.metrics.record_drop(query, "crash")
-            if fs.overload is not None and not query.canary:
-                fs.overload.note_outcome(False, self.env.now)
             if not query.canary:
                 fs.user_in_flight -= 1
-            query.notify_done()
+            drop_query(query, "crash", self.env.now, "serverless", fs.metrics, fs.overload)
         self._pump(fs)
 
     def _complete(
@@ -479,12 +476,13 @@ class ContainerPool:
         query.breakdown["load"] = load_t
         query.breakdown["exec"] = exec_t
         query.breakdown["post"] = post_t
-        query.t_complete = self.env.now
+        now = self.env.now
+        query.t_complete = now
         query.served_by = "serverless"
         if fs.metrics is not None:
             fs.metrics.record_completion(query)
         if fs.overload is not None and not query.canary:
-            fs.overload.note_outcome(query.latency <= fs.spec.qos_target, self.env.now)
+            fs.overload.note_outcome(query.latency <= fs.spec.qos_target, now)
         if not query.canary:
             fs.user_in_flight -= 1
         query.notify_done()

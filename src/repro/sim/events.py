@@ -146,14 +146,6 @@ class Event:
         heapq.heappush(env._heap, (env._now + delay, priority, env._seq, self))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event.defuse()
-            self.fail(event._value)
-
     # -- internal --------------------------------------------------------
     def _run_callbacks(self) -> None:
         callbacks, self.callbacks = self.callbacks, None

@@ -15,7 +15,7 @@ from typing import Deque, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.overload import DROP_REASONS
+from repro.overload import DROP_REASONS, OverloadGovernor
 from repro.sim import ReservoirSample
 from repro.workloads import Query
 
@@ -26,6 +26,7 @@ __all__ = [
     "CounterFamily",
     "LoadEstimator",
     "ServiceMetrics",
+    "drop_query",
 ]
 
 #: the latency stages platforms may report in Query.breakdown
@@ -107,8 +108,12 @@ class LoadEstimator:
         if self._t0 is None:
             self._t0 = t
         self.total += 1
-        self._arrivals.append(t)
-        self._evict(t)
+        arr = self._arrivals
+        arr.append(t)
+        # _evict(t), inline: this runs once per arrival
+        cutoff = t - self.window
+        while arr[0] < cutoff:
+            arr.popleft()
 
     def _evict(self, now: float) -> None:
         cutoff = now - self.window
@@ -168,7 +173,7 @@ class ServiceMetrics:
             self.load.record(t)
 
     def record_completion(self, query: Query) -> None:
-        """Fold a completed query into the ledgers.
+        """Fold a completed query into the ledgers (drops: :func:`drop_query`).
 
         Controller-feedback stores (``canary_latencies``, ``recent``)
         keep the *processing* latency — end-to-end minus queueing and
@@ -204,23 +209,6 @@ class ServiceMetrics:
                 self.served_by[server] += 1
             except KeyError:
                 self.served_by[server] = 1
-
-    def record_drop(self, query: Query, reason: str) -> None:
-        """Count one dropped user query in the ``dropped{reason}`` family.
-
-        Dropped queries never reach :meth:`record_completion`; they are
-        tallied separately so the latency ledgers stay comparable with
-        fault-free runs, and folded back in by
-        :attr:`violation_fraction_with_failures` (a drop is the
-        worst-possible QoS outcome).  Canary drops are not counted —
-        shadow traffic must not pollute user-facing QoS, mirroring
-        :meth:`record_completion`.
-        """
-        if query.canary:
-            self.drops.add(reason, 0)  # validates the reason, counts nothing
-            return
-        self.drops.add(reason)
-        self.failed += 1
 
     @property
     def violation_fraction(self) -> float:
@@ -264,3 +252,41 @@ class ServiceMetrics:
         if not self.canary_latencies:
             return float("nan")
         return float(np.mean(self.canary_latencies))
+
+
+def drop_query(
+    query: Query,
+    reason: str,
+    now: float,
+    platform: str,
+    metrics: Optional[ServiceMetrics],
+    overload: Optional[OverloadGovernor],
+) -> None:
+    """The one terminal path of a dropped query, on either platform.
+
+    Stamps the query failed at ``now`` on ``platform``, counts it in
+    ``drops{reason}`` (:data:`DROP_REASONS`) and ``failed``, feeds the
+    governor (a rejection for admission, shed and breaker drops, a bad
+    outcome for a crash, nothing for a preemption) and fires the
+    terminal hook last.  Site-specific steps (census, retry/preemption
+    counters, queue-wait breakdown) stay at the call site, before this.
+    A dropped query never reaches ``record_completion``; a canary drop
+    counts nothing (shadow traffic is not user QoS), but its reason is
+    still checked.
+    """
+    query.failed = True
+    query.t_complete = now
+    query.served_by = platform
+    if query.canary:
+        if reason not in DROP_REASONS:
+            raise ValueError(f"unknown drop reason {reason!r}")
+    else:
+        if metrics is not None:
+            metrics.drops.add(reason)
+            metrics.failed += 1
+        if overload is not None:
+            if reason == "crash":
+                overload.note_outcome(False, now)
+            elif reason != "preempted":
+                overload.note_rejection(reason, now)
+    query.notify_done()

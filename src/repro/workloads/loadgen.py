@@ -36,7 +36,7 @@ __all__ = ["LoadGenerator", "Query", "REJECTION_CAP"]
 REJECTION_CAP = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class Query:
     """One user request travelling through a deployment."""
 

@@ -163,7 +163,7 @@ class TestServingGolden:
         env.run()
         outcomes = ["shed" if q.failed else q.latency.hex() for q in queries]
         assert outcomes == GOLDEN_OUTCOMES
-        assert svc.shed == 7 and svc.peak_queue_depth == 6
+        assert gov.rejections["shed"] == 7 and svc.peak_queue_depth == 6
         assert svc.in_flight == 0 and svc.completions == 33
 
     def test_uncontended_query_schedules_three_events(self):

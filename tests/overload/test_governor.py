@@ -30,23 +30,35 @@ class TestConstruction:
 class TestAdmission:
     def test_disabled_policy_admits_everything(self):
         gov = make_governor(OverloadPolicy.disabled())
-        assert gov.admit_serverless(queued=10**6, busy=0, capacity=0, now=0.0) is None
-        assert gov.admit_iaas(queued=10**6, busy=0, capacity=0, now=0.0) is None
+        assert gov.admit(queued=10**6, busy=0, capacity=lambda: 0, mu=gov.mu_serverless, now=0.0) is None
+        assert gov.admit(queued=10**6, busy=0, capacity=lambda: 0, mu=gov.mu_iaas, now=0.0) is None
 
     def test_full_queue_is_an_admission_drop(self):
         gov = make_governor(OverloadPolicy(max_queue_depth=4, admission_control=False))
-        assert gov.admit_serverless(queued=4, busy=0, capacity=8, now=0.0) == "admission"
-        assert gov.admit_serverless(queued=3, busy=0, capacity=8, now=0.0) is None
+        assert gov.admit(queued=4, busy=0, capacity=lambda: 8, mu=gov.mu_serverless, now=0.0) == "admission"
+        assert gov.admit(queued=3, busy=0, capacity=lambda: 8, mu=gov.mu_serverless, now=0.0) is None
 
     def test_predicted_qos_miss_is_an_admission_drop(self):
         gov = make_governor(qos=2.0, mu=1.0)
         # deep backlog: predicted sojourn far beyond the 2 s target
-        assert gov.admit_serverless(queued=50, busy=4, capacity=4, now=0.0) == "admission"
-        assert gov.admit_serverless(queued=0, busy=0, capacity=4, now=0.0) is None
+        assert gov.admit(queued=50, busy=4, capacity=lambda: 4, mu=gov.mu_serverless, now=0.0) == "admission"
+        assert gov.admit(queued=0, busy=0, capacity=lambda: 4, mu=gov.mu_serverless, now=0.0) is None
 
     def test_zero_capacity_is_an_admission_drop(self):
         gov = make_governor()
-        assert gov.admit_serverless(queued=0, busy=0, capacity=0, now=0.0) == "admission"
+        assert gov.admit(queued=0, busy=0, capacity=lambda: 0, mu=gov.mu_serverless, now=0.0) == "admission"
+
+    def test_capacity_is_read_only_at_the_model_check(self):
+        def unread():
+            raise AssertionError("capacity read before the M/M/N check")
+
+        gov = make_governor(OverloadPolicy(max_queue_depth=4))
+        assert gov.admit(queued=4, busy=0, capacity=unread, mu=gov.mu_serverless, now=0.0) == "admission"
+        gov2 = make_governor(OverloadPolicy(admission_control=False))
+        assert gov2.admit(queued=0, busy=0, capacity=unread, mu=gov2.mu_iaas, now=0.0) is None
+        reads = []
+        assert gov.admit(queued=0, busy=0, capacity=lambda: reads.append(1) or 4, mu=gov.mu_iaas, now=0.0) is None
+        assert reads == [1]
 
     def test_brownout_drop_tail_uses_the_breaker_reason(self):
         policy = OverloadPolicy(
@@ -59,9 +71,9 @@ class TestAdmission:
         gov = make_governor(policy)
         gov.note_rejection("shed", 0.0)  # trips the 1-sample breaker
         assert gov.brownout(0.0)
-        assert gov.admit_serverless(queued=2, busy=0, capacity=8, now=0.0) == "breaker"
+        assert gov.admit(queued=2, busy=0, capacity=lambda: 8, mu=gov.mu_serverless, now=0.0) == "breaker"
         # below the tightened depth, brownout still admits
-        assert gov.admit_serverless(queued=1, busy=0, capacity=8, now=0.0) is None
+        assert gov.admit(queued=1, busy=0, capacity=lambda: 8, mu=gov.mu_serverless, now=0.0) is None
 
 
 class TestShedding:

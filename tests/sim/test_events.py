@@ -162,15 +162,6 @@ def test_all_of_with_already_processed_children(env):
     assert set(cond.value.values()) == {"a", "b"}
 
 
-def test_trigger_copies_state(env):
-    src = env.event()
-    dst = env.event()
-    src.succeed("payload")
-    dst.trigger(src)
-    assert dst.triggered
-    assert dst.value == "payload"
-
-
 # -- cancellation ---------------------------------------------------------
 
 
@@ -250,16 +241,6 @@ def test_condition_value_keeps_child_order(env):
     cond = AllOf(env, [a, b, c])
     env.run(until=cond)
     assert list(cond.value.values()) == ["a", "b", "c"]
-
-
-def test_trigger_copies_a_failure_and_defuses_the_source(env):
-    src, dst = env.event(), env.event()
-    assert src.callbacks is not None
-    src.callbacks.append(dst.trigger)
-    dst.defuse()
-    src.fail(KeyError("k"))
-    env.run()  # src's failure would escape here had trigger() not defused it
-    assert not dst.ok and isinstance(dst.value, KeyError)
 
 
 def test_succeed_and_fail_honour_delay(env):

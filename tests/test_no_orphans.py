@@ -3,8 +3,9 @@
 A public module-level function or class, or a public method of a public
 class, must be used somewhere in ``src/``, ``benchmarks/`` or
 ``examples/`` outside its own body and outside other orphans.  A use is a
-name, an attribute or an equal string constant (``getattr``), matched by
-name; ``__all__`` lists and imports (re-exports) are not uses.
+name, an attribute, or a string constant passed as the attribute name of
+``getattr``/``setattr``/``hasattr``, matched by name; other strings
+(``__all__`` lists, name tables) and imports (re-exports) are not uses.
 ``repro.analysis`` is not scanned: ``ast.NodeVisitor`` calls its
 ``visit_*`` methods by name.  Names kept on purpose are in ``KEEP``.
 """
@@ -43,15 +44,18 @@ def _public_defs(body, methods=True):
                 yield from _public_defs(node.body, methods=False)
 
 
+_ATTR_BUILTINS = ("getattr", "setattr", "hasattr")
+
+
 def _uses(tree):
-    exports = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            exports.update(id(n) for n in ast.walk(node.value))
     for node in ast.walk(tree):
-        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "value", None)
-        if isinstance(name, str) and id(node) not in exports:
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name is not None:
             yield name, node.lineno
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in _ATTR_BUILTINS:
+            attr = node.args[1] if len(node.args) > 1 else None
+            if isinstance(attr, ast.Constant) and isinstance(attr.value, str):
+                yield attr.value, attr.lineno
 
 
 def _orphans(defining, using, keep=frozenset()):
@@ -112,6 +116,16 @@ def test_guard_counts_calls_attributes_and_getattr_strings():
             return Box().get() + getattr(Box(), "put")()
         main()
     """)
+
+
+def test_guard_counts_no_other_string_constants():
+    assert _check("""
+        class Event:
+            def trigger(self): return 1
+            def fire(self): return 2
+        ARM_METHODS = {"trigger"}
+        print(getattr(Event(), "fire")(), "trigger", getattr("trigger", "upper")())
+    """) == {"trigger"}
 
 
 def test_guard_finds_names_only_orphans_use_and_honours_keep():

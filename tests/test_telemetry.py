@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.telemetry import LoadEstimator, ServiceMetrics
+from repro.overload import OverloadGovernor, OverloadPolicy
+from repro.telemetry import LoadEstimator, ServiceMetrics, drop_query
 from repro.workloads.loadgen import Query
 
 
@@ -120,7 +121,7 @@ class TestServiceMetrics:
 class TestCounterFamilies:
     def test_families_read_like_dicts(self):
         m = ServiceMetrics("s", qos_target=1.0)
-        m.record_drop(make_query(1.0), "shed")
+        drop_query(make_query(1.0), "shed", 1.0, "serverless", m, None)
         m.preemptions.add("noticed")
         assert m.drops["shed"] == 1 and m.failed == 1
         assert dict(m.preemptions) == {"noticed": 1, "drained": 0, "killed_inflight": 0, "replaced": 0}
@@ -129,7 +130,7 @@ class TestCounterFamilies:
     def test_unknown_keys_are_rejected(self):
         m = ServiceMetrics("s", qos_target=1.0)
         with pytest.raises(ValueError, match="drop reason"):
-            m.record_drop(make_query(1.0, canary=True), "bogus")
+            drop_query(make_query(1.0, canary=True), "bogus", 1.0, "serverless", m, None)
         with pytest.raises(ValueError, match="retry kind"):
             m.retries.add("bogus")
         with pytest.raises(ValueError, match="preemption kind"):
@@ -193,3 +194,34 @@ class TestLatencyPercentileHonesty:
         for i in range(6000):
             m.record_completion(make_query(float(i)))
         assert m.latency_sample_exact
+
+
+class TestDropQuery:
+    def _governor(self):
+        policy = OverloadPolicy(breaker_enabled=False)
+        return OverloadGovernor(policy, qos_target=1.0, mu_serverless=2.0, mu_iaas=2.0)
+
+    def test_stamps_counts_and_fires_the_hook_last(self):
+        m, gov = ServiceMetrics("s", qos_target=1.0), self._governor()
+        q = Query(qid=0, service="s", t_submit=0.0)
+        seen = []
+        q.on_done = lambda q: seen.append((q.failed, q.t_complete, q.served_by, m.failed, gov.total_rejections))
+        drop_query(q, "breaker", 2.5, "iaas", m, gov)
+        assert seen == [(True, 2.5, "iaas", 1, 1)]
+        assert m.drops["breaker"] == 1 and gov.rejections["breaker"] == 1
+
+    def test_governor_sees_rejections_not_crashes_or_preemptions(self):
+        m, gov = ServiceMetrics("s", qos_target=1.0), self._governor()
+        for reason in ("admission", "shed", "breaker", "crash", "preempted"):
+            drop_query(Query(qid=0, service="s", t_submit=0.0), reason, 1.0, "serverless", m, gov)
+        assert m.failed == m.drops.total == 5
+        assert gov.rejections == {"admission": 1, "shed": 1, "breaker": 1}
+
+    def test_canary_drop_counts_nothing_but_is_still_settled(self):
+        m, gov = ServiceMetrics("s", qos_target=1.0), self._governor()
+        q = Query(qid=-1, service="s", t_submit=0.0, canary=True)
+        seen = []
+        q.on_done = seen.append
+        drop_query(q, "shed", 1.0, "serverless", m, gov)
+        assert seen == [q] and q.failed
+        assert m.failed == m.drops.total == 0 and gov.total_rejections == 0
