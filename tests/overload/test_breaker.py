@@ -108,6 +108,14 @@ class TestHalfOpen:
         assert breaker.state is BreakerState.OPEN
         assert [state for _t, state in breaker.transitions] == ["open", "half_open", "open"]
         assert breaker.trips == 1  # the second OPEN edge is a reopen, not a trip
+
+    def test_a_reopen_restarts_the_dwell(self):
+        breaker = self._half_open()
+        feed(breaker, 20.0, [True] * 4)  # reopens at 20.0
+        assert breaker.is_open(29.999)  # the first dwell's end (11.0) is long past
+        breaker.record(30.0, bad=False)  # due exactly now: half-opens, then probes
+        assert breaker.state is BreakerState.HALF_OPEN
+        assert breaker.transitions[-1] == (30.0, "half_open")
         assert breaker.opened_at == 20.0  # dwell restarts from the reopen
 
     def test_close_resets_the_window_history(self):
