@@ -10,6 +10,7 @@ from repro.cluster.resource_model import (
     MachineModel,
     SensitivityVector,
 )
+from repro.sim.environment import Environment
 
 pressures_st = st.tuples(
     st.floats(0.0, 2.5), st.floats(0.0, 2.5), st.floats(0.0, 2.5)
@@ -287,3 +288,126 @@ def run_with_step_budget(env, budget):
         assert budget, f"completion timer re-armed without end at t={env.now}"
         env.step()
         budget -= 1
+
+
+# -- bit-exact class rates ---------------------------------------------------
+#
+# The rebalance evaluates the slowdown inline, once per class, instead of
+# calling ContentionConfig.slowdown; these cases pin that every busy
+# class's rate is bit-for-bit 1 / slowdown at the machine's pressures.
+
+#: demands on a 4/4/4 machine: 3 = the default knee (0.75), 12 = the
+#: default cap (3.0), 4 on every axis = three tied pressures of 1.0 (the
+#: knee of KNEE_AT_ONE), plus sub-clamp and ragged values
+EXACT_DEMANDS = (
+    DemandVector(cpu=3.0),
+    DemandVector(cpu=12.0, io_mbps=12.0),
+    DemandVector(cpu=4.0, memory_mb=64.0, io_mbps=4.0, net_mbps=4.0),
+    DemandVector(cpu=1e-9, io_mbps=0.5e-9, net_mbps=1e-9),
+    DemandVector(cpu=0.1, memory_mb=0.3, io_mbps=0.2, net_mbps=0.7),
+    DemandVector(),
+)
+#: zero, tied and lopsided sensitivities
+EXACT_SENS = (
+    SensitivityVector(cpu=0.0, io=0.0, net=0.0),
+    SensitivityVector(cpu=1.0, io=1.0, net=1.0),
+    SensitivityVector(cpu=1.0, io=0.0, net=0.0),
+    SensitivityVector(cpu=0.0, io=0.5, net=0.5),
+    SensitivityVector(cpu=0.5, io=0.5, net=1.0),
+)
+#: residues a demand total is left with after add/remove churn
+RESIDUES = (1e-9, -1e-9, 0.5e-9, -0.5e-9, -0.0)
+KNEE_AT_ONE = {"knee": 1.0, "pressure_cap": 2.0}
+
+exact_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("start"),
+            st.sampled_from((0.25, 1.0, 2.5)),
+            st.integers(0, len(EXACT_DEMANDS) - 1),
+            st.integers(0, len(EXACT_SENS) - 1),
+        ),
+        st.tuples(st.just("wait"), st.sampled_from((0.0, 0.1, 0.75, 3.0))),
+        st.tuples(st.just("background"), st.integers(0, len(EXACT_DEMANDS) - 1)),
+        st.tuples(st.just("unbackground")),
+        # axis 3 is the memory total
+        st.tuples(st.just("residue"), st.integers(0, 3), st.sampled_from(RESIDUES)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def assert_rates_exact(m):
+    """Every busy class runs at exactly 1 / slowdown; the clamp left no residue."""
+    p = m.pressures()
+    for cls in m._classes.values():
+        if cls.heap:
+            assert cls.rate.hex() == (1.0 / m.config.slowdown(cls.sens, p)).hex()
+    for total in (*m._demand_totals, m._memory_in_use):
+        assert total == 0.0 or abs(total) >= 1e-9
+        assert total.hex() != (-0.0).hex()
+
+
+@given(exact_ops, st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_class_rates_bit_identical_to_slowdown(ops, knee_at_one, hooked):
+    env = Environment()
+    m = make_machine(env, cores=4.0, io=4.0, net=4.0, **(KNEE_AT_ONE if knee_at_one else {}))
+    if hooked:
+
+        def on_pressure(_t, pressures):
+            assert tuple(x.hex() for x in pressures) == tuple(x.hex() for x in m.pressures())
+
+        m.on_pressure_change = on_pressure
+    removers = []
+    # a planted residue stays unclamped until the next rebalance
+    dirty = False
+
+    def finished(_duration):
+        nonlocal dirty
+        dirty = False
+        assert_rates_exact(m)
+
+    for op in ops:
+        if op[0] == "wait":
+            env.run(until=env.now + op[1])
+        elif op[0] == "residue":
+            _kind, axis, residue = op
+            # an exactly-cancelled total takes the residue as is (so -0.0
+            # stays -0.0); a live one carries it as float drift
+            if axis == 3:
+                m._memory_in_use = residue if m._memory_in_use == 0.0 else m._memory_in_use + residue
+            else:
+                t = m._demand_totals[axis]
+                m._demand_totals[axis] = residue if t == 0.0 else t + residue
+            dirty = True
+        elif op[0] == "start":
+            m.execute(op[1], EXACT_DEMANDS[op[2]], EXACT_SENS[op[3]], finished)
+            dirty = False
+        elif op[0] == "background":
+            removers.append(m.inject_background(EXACT_DEMANDS[op[1]]))
+            dirty = False
+        elif removers:
+            removers.pop(0)()
+            dirty = False
+        if not dirty:
+            assert_rates_exact(m)
+    env.run()
+    assert m.active_count == 0
+
+
+@pytest.mark.parametrize("residue", RESIDUES)
+@pytest.mark.parametrize("axis", range(4))
+def test_clamp_boundary(env, axis, residue):
+    """Residues under 1e-9 (and -0.0) snap to +0.0; residues of 1e-9 stay."""
+    m = make_machine(env)
+    m.inject_background(DemandVector())  # not provably empty: the clamp runs
+    if axis == 3:
+        m._memory_in_use = residue
+    else:
+        m._demand_totals[axis] = residue
+    m.inject_background(DemandVector())
+    total = m._memory_in_use if axis == 3 else m._demand_totals[axis]
+    expected = residue if abs(residue) >= 1e-9 else 0.0
+    assert total.hex() == expected.hex()
