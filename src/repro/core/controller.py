@@ -139,12 +139,14 @@ class DeploymentController:
                 ):
                     switch_target = DeployMode.IAAS
             else:
+                # one read for feedback, Eq. 6 and the record (meters move on completions)
+                pressures = self.monitor.pressure()
                 # feedback to the monitor: latest serverless-path observation
                 observed = self._serverless_observation()
                 if observed is not None and observed > 0:
-                    self.monitor.add_feedback(name, load, observed)
+                    self.monitor.add_feedback(name, load, observed, pressures)
 
-                est = self._estimate_mu(load)
+                est = self._estimate_mu(load, pressures)
                 mu, weights = est.mu, est.weights
                 n_avail = self.engine.serverless.n_max(name)
                 if n_avail < 1:
@@ -175,7 +177,6 @@ class DeploymentController:
                         guard_blocked = True
                     elif self.engine.request_switch(DeployMode.SERVERLESS, load):
                         switch_target = DeployMode.SERVERLESS
-                pressures = self.monitor.pressure()
 
             self.decisions.append(
                 ControllerDecision(
@@ -226,11 +227,10 @@ class DeploymentController:
         lat = metrics.mean_canary_latency()
         return None if math.isnan(lat) else lat
 
-    def _estimate_mu(self, load: float) -> MuEstimate:
-        """Eq. 6 with the monitor's current pressure and weights."""
+    def _estimate_mu(self, load: float, pressures: Tuple[float, float, float]) -> MuEstimate:
+        """Eq. 6 at the monitor's ``pressures`` with its current weights."""
         name = self.spec.name
         surfaces = self.monitor.surfaces(name)
-        pressures = self.monitor.pressure()
         weights, bias = self.monitor.weights(name)
         axis_lat = surfaces.axis_latencies(pressures, load)
         return mu_value(

@@ -268,18 +268,20 @@ class ContentionMonitor:
             return np.ones(3), 0.0
         return st.weights.copy(), st.bias
 
-    def add_feedback(self, name: str, load: float, observed_latency: float) -> None:
+    def add_feedback(
+        self, name: str, load: float, observed_latency: float, pressures: Tuple[float, float, float]
+    ) -> None:
         """Ingest one heartbeat row: prediction inputs vs. observed latency.
 
         ``observed_latency`` is an end-to-end serverless latency of the
-        service (canary or real).  The row stores per-axis degradations
-        (the Eq. 6 regressors) against the observed *excess* latency.
+        service (canary or real), regressed against the ``pressure()``
+        reading ``pressures``.  The row stores per-axis degradations (the
+        Eq. 6 regressors) against the observed *excess* latency.
         """
         st = self._state(name)
         if observed_latency <= 0:
             raise ValueError(f"observed_latency must be positive, got {observed_latency}")
-        P = self.pressure()
-        L = st.surfaces.axis_latencies(P, load)
+        L = st.surfaces.axis_latencies(pressures, load)
         deg = np.maximum(L - st.surfaces.solo_latency, 0.0)
         y = observed_latency - st.surfaces.solo_latency - st.surfaces.alpha
         st.rows.append((deg, float(y)))

@@ -78,6 +78,6 @@ class Frontend:
 
         def deliver() -> None:
             query.breakdown["proc"] = proc
-            self.pool.submit(query)
+            self.pool._submit(fs, query)
 
         self.env.schedule_callback(proc, deliver)

@@ -178,7 +178,10 @@ class ContainerPool:
     # -- submission -----------------------------------------------------------
     def submit(self, query: Query) -> None:
         """Enqueue one invocation (front-end overhead already paid)."""
-        fs = self.state(query.service)
+        self._submit(self.state(query.service), query)
+
+    def _submit(self, fs: FunctionState, query: Query) -> None:
+        """``submit`` for a caller that already holds the function's state."""
         now = self.env.now
         if not fs.queue and fs.idle:
             # warm fast path: what enqueue + _take would do, minus the

@@ -204,7 +204,9 @@ class TestMonitorLive:
         monitor.register_service("float", build_surface_set(spec))
         env.run(until=30.0)
         for i in range(20):
-            monitor.add_feedback("float", load=5.0, observed_latency=0.1 + 0.001 * i)
+            monitor.add_feedback(
+                "float", load=5.0, observed_latency=0.1 + 0.001 * i, pressures=monitor.pressure()
+            )
         assert monitor.feedback_count("float") == 20
         assert monitor.refit_count("float") > 0
         w, bias = monitor.weights("float")
@@ -215,7 +217,7 @@ class TestMonitorLive:
         monitor.start()
         monitor.register_service("float", build_surface_set(benchmark("float")))
         for _ in range(30):
-            monitor.add_feedback("float", load=5.0, observed_latency=0.2)
+            monitor.add_feedback("float", load=5.0, observed_latency=0.2, pressures=monitor.pressure())
         w, bias = monitor.weights("float")
         assert np.allclose(w, 1.0)
         assert bias == 0.0
@@ -237,4 +239,4 @@ class TestMonitorLive:
         env, platform, monitor = make_monitor()
         monitor.register_service("float", build_surface_set(benchmark("float")))
         with pytest.raises(ValueError):
-            monitor.add_feedback("float", load=1.0, observed_latency=0.0)
+            monitor.add_feedback("float", load=1.0, observed_latency=0.0, pressures=monitor.pressure())
