@@ -355,3 +355,25 @@ def test_rebalance_call_budget():
     )
     assert machine.completed > 5000  # the platform really is loaded
     assert calls / machine.completed <= 9.5, (calls, machine.completed)
+
+
+def test_iaas_query_call_budget():
+    """Work guard for the IaaS serving chain: frames per completed query.
+
+    A Nameko matmul leg runs every query through the RPC overhead, the
+    worker-slot grant and the contended execution.  The worker slots are
+    counters and a FIFO deque on the service and a grant is one zero-delay
+    callback, so the leg enters 46.7 frames in ``src/repro`` per completed
+    query: 52.7 while the slots were a kernel semaphore whose grant was a
+    request event with a callbacks list.  The count does not depend on the
+    machine, so it is a gate rather than a trajectory.
+    """
+    from repro.experiments.runner import run_nameko
+    from repro.experiments.scenarios import default_scenario
+
+    calls, result = _frames_entered(
+        "", lambda: run_nameko(default_scenario("matmul", seed=0, day=600.0))
+    )
+    completed = result.services["matmul"].metrics.completed
+    assert completed > 4000  # the whole day was served
+    assert calls / completed <= 49.0, (calls, completed)

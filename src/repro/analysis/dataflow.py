@@ -68,9 +68,3 @@ class ScopeTracker:
             if name in frame:
                 return frame[name]
         return None
-
-    def tag_of(self, node: ast.AST) -> Optional[str]:
-        """Tag of an expression when it is a tracked bare name."""
-        if isinstance(node, ast.Name):
-            return self.lookup(node.id)
-        return None

@@ -8,9 +8,9 @@ components) and to derive a layering order (Kahn) for reports.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-__all__ = ["cycles", "edge_list", "strongly_connected_components", "topological_order"]
+__all__ = ["cycles", "strongly_connected_components", "topological_order"]
 
 Graph = Dict[str, Set[str]]
 
@@ -120,8 +120,3 @@ def topological_order(graph: Graph) -> Optional[List[str]]:
     if len(order) != len(adj):
         return None
     return order
-
-
-def edge_list(graph: Graph) -> Sequence[Tuple[str, str]]:
-    """Sorted ``(importer, dependency)`` pairs, for reports and tests."""
-    return sorted((node, dep) for node, deps in graph.items() for dep in deps)

@@ -3,7 +3,8 @@
 The service holds ``k`` flavors' worth of capacity in one
 :class:`~repro.cluster.resource_model.MachineModel` (perfect load
 balancing across its own VMs) and admits at most ``n`` concurrent queries
-through a FIFO :class:`~repro.sim.resources.Resource`.  The rented cores
+through ``n`` worker slots with a FIFO wait queue, the same counters and
+deque the serverless pool keeps per function.  The rented cores
 and memory hit the usage ledger for the VMs' entire uptime — that is the
 IaaS cost model the paper's Fig. 2/11 comparisons rest on.
 
@@ -17,20 +18,18 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import deque
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.cluster import ContentionConfig, DemandVector, MachineModel, SpotSpec, UsageLedger
 from repro.faults import FaultInjector, VMBootFailed
 from repro.iaas.sizing import RPC_OVERHEAD, SizingResult
 from repro.overload import OverloadGovernor
-from repro.sim import Environment, Event, Resource, RngRegistry, TimeSeries
+from repro.sim import Environment, Event, RngRegistry, TimeSeries
 from repro.sim.events import Callback
 from repro.telemetry import ServiceMetrics, drop_query
 from repro.workloads import MicroserviceSpec, Query
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.resources import _Request
 
 __all__ = ["IaaSService", "ServiceState"]
 
@@ -78,7 +77,14 @@ class IaaSService:
             net_mbps=k * flavor.net_mbps,
             config=contention,
         )
-        self.workers = Resource(env, capacity=sizing.workers)
+        #: worker slots (shrinks while a spot share is reclaimed), the
+        #: slots executing or about to start, and the queries waiting for
+        #: one with their queue-entry time.  The overload layer bounds the
+        #: wait queue at admission when a policy is enabled; the open-loop
+        #: Nameko baseline deliberately measures the unbounded backlog.
+        self._slots = sizing.workers
+        self._busy = 0
+        self._waiting: Deque[Tuple[Query, float]] = deque()  # simlint: ignore[SIM010]
         self._exec_draw = rng.lognormal_sampler(
             f"iaas-exec/{spec.name}", spec.exec_time, spec.exec_sigma
         )
@@ -308,7 +314,7 @@ class IaaSService:
         """Shrink the worker pool to the surviving on-demand slots."""
         if self.replaced:
             return  # the replacement already covers the doomed share
-        self.workers.resize(self._surviving_workers)
+        self._slots = self._surviving_workers
 
     def _reclaim_spot(self) -> None:
         """Deadline: the spot share is gone (billing, capacity, victims)."""
@@ -328,7 +334,7 @@ class IaaSService:
                     net_mbps=self.sizing.vm_count * flavor.net_mbps * frac,
                 )
             )
-        victims = max(0, self.workers.count - self.workers.capacity)
+        victims = max(0, self._busy - self._slots)
         if victims > 0:
             self._kill_victims(victims)
         elif self.spot is not None and self.spot.graceful and self.metrics is not None:
@@ -367,7 +373,8 @@ class IaaSService:
         if self._bg_remove is not None:
             self._bg_remove()
             self._bg_remove = None
-        self.workers.resize(self.sizing.workers)
+        self._slots = self.sizing.workers
+        self._grant()
         # re-rent the reclaimed share at the on-demand rate while the
         # rental is live; top up to the full sizing so a redeploy that
         # already acquired everything is not double-billed
@@ -396,9 +403,8 @@ class IaaSService:
             metrics.record_arrival(now, query.canary)
         gov = self.overload
         if gov is not None:
-            workers = self.workers
             reason = gov.admit(
-                workers.queue_length, workers.count, self._worker_capacity,
+                len(self._waiting), self._busy, self._worker_capacity,
                 gov.mu_iaas, now, query.local_budget(now),
             )
             if reason is not None:
@@ -413,32 +419,48 @@ class IaaSService:
 
     def _worker_capacity(self) -> int:
         """Worker slots right now (admission reads it at the M/M/N check)."""
-        return self.workers.capacity
+        return self._slots
 
     def _claim_worker(self, query: Query) -> None:
         """The RPC overhead has passed: queue for a worker slot."""
         query.breakdown["proc"] = RPC_OVERHEAD
-        req = self.workers.request()
         t_q = self.env.now
-        depth = self.workers.queue_length
+        waiting = self._waiting
+        if self._busy < self._slots:
+            self._busy += 1
+            Callback(self.env, 0.0, partial(self._start, query, t_q))
+        else:
+            waiting.append((query, t_q))
+        depth = len(waiting)
         self.queue_depth.record(t_q, float(depth))
         if depth > self.peak_queue_depth:
             self.peak_queue_depth = depth
-        assert req.callbacks is not None
-        req.callbacks.append(partial(self._start, query, t_q))
 
-    def _start(self, query: Query, t_q: float, req: "_Request") -> None:
+    def _grant(self) -> None:
+        """Start waiting queries, oldest first, on the free worker slots.
+
+        Each grant is a zero-delay callback, so a granted query starts
+        after the events already due at this instant.
+        """
+        waiting = self._waiting
+        while waiting and self._busy < self._slots:
+            query, t_q = waiting.popleft()
+            self._busy += 1
+            Callback(self.env, 0.0, partial(self._start, query, t_q))
+
+    def _start(self, query: Query, t_q: float) -> None:
         """A worker slot was granted: shed the query or execute it."""
         spec = self.spec
         gov = self.overload
         now = self.env.now
-        self.queue_depth.record(now, float(self.workers.queue_length))
+        self.queue_depth.record(now, float(len(self._waiting)))
         wait = now - t_q
         query.breakdown["queue"] = wait
         if gov is not None and gov.should_shed(wait, target=query.local_budget(t_q)):
             # the query's accumulated queue wait already blew its budget:
             # free the worker slot for one that can still meet QoS
-            self.workers.release(req)
+            self._busy -= 1
+            self._grant()
             drop_query(query, "shed", now, "iaas", self.metrics, gov)
             self.in_flight -= 1
             self._maybe_release()
@@ -447,15 +469,16 @@ class IaaSService:
         token = next(self._tokens)
         self._active[token] = query
         self.machine.execute(
-            work, spec.demand, spec.sensitivity, partial(self._finish, query, req, token)
+            work, spec.demand, spec.sensitivity, partial(self._finish, query, token)
         )
 
-    def _finish(self, query: Query, req: "_Request", token: int, exec_t: float) -> None:
+    def _finish(self, query: Query, token: int, exec_t: float) -> None:
         """The contended execution finished: settle the query."""
         spec = self.spec
         gov = self.overload
         self._active.pop(token, None)
-        self.workers.release(req)
+        self._busy -= 1
+        self._grant()
         if query.preempt_killed:
             # terminal accounting already happened at the reclamation;
             # the machine work that just finished was the ghost of the

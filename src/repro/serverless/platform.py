@@ -104,10 +104,6 @@ class ServerlessPlatform:
         """Idle warm containers for ``name``."""
         return self.pool.warm_count(name)
 
-    def queue_length(self, name: str) -> int:
-        """Pending invocations for ``name``."""
-        return self.pool.queue_length(name)
-
     def function_ledger(self, name: str) -> UsageLedger:
         """Per-function vendor-side usage ledger."""
         return self.pool.state(name).ledger

@@ -541,10 +541,6 @@ class ContainerPool:
         """Idle warm containers for ``name``."""
         return len(self.state(name).idle)
 
-    def queue_length(self, name: str) -> int:
-        """Pending invocations for ``name``."""
-        return len(self.state(name).queue)
-
     def registered(self) -> tuple[str, ...]:
         """Names of all registered functions."""
         return tuple(self._functions)

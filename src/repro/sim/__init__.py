@@ -2,9 +2,11 @@
 
 A small, deterministic, generator-based discrete-event engine in the style
 of SimPy, purpose-built for the Amoeba reproduction.  Processes are Python
-generators that ``yield`` events (timeouts, other events, resource
-requests); the :class:`~repro.sim.environment.Environment` advances a
-virtual clock over a binary heap of scheduled events.
+generators that ``yield`` events (timeouts or other events); the
+:class:`~repro.sim.environment.Environment` advances a virtual clock over
+a binary heap of scheduled events.  Worker-slot queueing lives with its
+owners (the serverless pool and the IaaS service), as counters and a FIFO
+deque, not in the kernel.
 
 Design notes (see DESIGN.md §6):
 
@@ -21,7 +23,6 @@ Design notes (see DESIGN.md §6):
 from repro.sim.environment import Environment
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
 from repro.sim.stats import ReservoirSample, TimeSeries, TimeWeightedStats
 
@@ -32,7 +33,6 @@ __all__ = [
     "Event",
     "Process",
     "ReservoirSample",
-    "Resource",
     "RngRegistry",
     "TimeSeries",
     "TimeWeightedStats",

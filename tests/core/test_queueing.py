@@ -20,6 +20,7 @@ from repro.sim.queueing import (
     wait_cdf,
     wait_quantile,
 )
+from tests.core.oracle_queue import fcfs_customers
 
 
 def brute_pi0(n, rho):
@@ -121,32 +122,11 @@ class TestWaitDistribution:
         assert mean_wait(lam, mu, 1) == pytest.approx(0.6 / 0.4)
 
     def test_mean_wait_against_simulation(self):
-        """M/M/3 queueing delay measured on the actual simulator."""
-        from repro.sim.environment import Environment
-        from repro.sim.resources import Resource
-        from repro.sim.rng import RngRegistry
-
+        """M/M/3 queueing delay measured on an exact FCFS simulation."""
         lam, mu, n = 2.4, 1.0, 3
-        env = Environment()
-        rng = RngRegistry(seed=8)
-        servers = Resource(env, capacity=n)
-        waits = []
-
-        def customer(env):
-            t0 = env.now
-            req = servers.request()
-            yield req
-            waits.append(env.now - t0)
-            yield env.timeout(rng.exponential("svc", 1.0 / mu))
-            servers.release(req)
-
-        def arrivals(env):
-            while True:
-                yield env.timeout(rng.exponential("arr", 1.0 / lam))
-                env.process(customer(env))
-
-        env.process(arrivals(env))
-        env.run(until=20000.0)
+        until = 20000.0
+        customers = fcfs_customers(lam, n, until, 8, lambda rng: rng.exponential("svc", 1.0 / mu))
+        waits = [start - t0 for t0, start, _ in customers if start < until]
         assert np.mean(waits) == pytest.approx(mean_wait(lam, mu, n), rel=0.1)
 
 
@@ -205,32 +185,13 @@ class TestDiscriminant:
         sigma) uses.  The M/M/N wait bound is then conservative (M/D/N
         waits are shorter), so the prediction must hold end-to-end.
         """
-        from repro.sim.environment import Environment
-        from repro.sim.resources import Resource
-        from repro.sim.rng import RngRegistry
-
         mu, n, qos, r = 2.0, 4, 1.5, 0.95
         lam = 0.95 * max_arrival_rate(mu, n, qos, r)
-        env = Environment()
-        rng = RngRegistry(seed=21)
-        servers = Resource(env, capacity=n)
-        sojourns = []
-
-        def customer(env):
-            t0 = env.now
-            req = servers.request()
-            yield req
-            yield env.timeout(rng.lognormal_around("svc", 1.0 / mu, 0.12))
-            servers.release(req)
-            sojourns.append(env.now - t0)
-
-        def arrivals(env):
-            while True:
-                yield env.timeout(rng.exponential("arr", 1.0 / lam))
-                env.process(customer(env))
-
-        env.process(arrivals(env))
-        env.run(until=30000.0)
+        until = 30000.0
+        customers = fcfs_customers(
+            lam, n, until, 21, lambda rng: rng.lognormal_around("svc", 1.0 / mu, 0.12)
+        )
+        sojourns = [end - t0 for t0, _, end in customers if end < until]
         assert float(np.percentile(sojourns, 95)) <= qos
 
 

@@ -10,6 +10,7 @@ from repro.sim.queueing import (
     wait_quantile,
     wait_quantile_gg,
 )
+from tests.core.oracle_queue import fcfs_customers
 
 # long queueing simulations: excluded from the quick tier
 pytestmark = pytest.mark.slow
@@ -54,31 +55,12 @@ def test_validation():
 def test_mdn_matches_near_deterministic_simulation():
     """The corrected quantile tracks an M/D/N-ish simulation closely,
     where plain M/M/N over-estimates."""
-    from repro.sim.environment import Environment
-    from repro.sim.resources import Resource
-    from repro.sim.rng import RngRegistry
-
     lam, mu, n = 6.5, 2.0, 4  # rho ~0.81
-    env = Environment()
-    rng = RngRegistry(seed=33)
-    servers = Resource(env, capacity=n)
-    waits = []
-
-    def customer(env):
-        t0 = env.now
-        req = servers.request()
-        yield req
-        waits.append(env.now - t0)
-        yield env.timeout(rng.lognormal_around("svc", 1.0 / mu, 0.05))
-        servers.release(req)
-
-    def arrivals(env):
-        while True:
-            yield env.timeout(rng.exponential("arr", 1.0 / lam))
-            env.process(customer(env))
-
-    env.process(arrivals(env))
-    env.run(until=40000.0)
+    until = 40000.0
+    customers = fcfs_customers(
+        lam, n, until, 33, lambda rng: rng.lognormal_around("svc", 1.0 / mu, 0.05)
+    )
+    waits = [start - t0 for t0, start, _ in customers if start < until]
     sim_q95 = float(np.percentile(waits, 95))
     mmn_q95 = wait_quantile(0.95, lam, mu, n)
     mdn_q95 = wait_quantile_gg(0.95, lam, mu, n, cs2=0.0)

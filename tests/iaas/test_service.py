@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.iaas.platform import IaaSPlatform
 from repro.iaas.service import IaaSService, ServiceState
@@ -180,6 +182,58 @@ class TestServingGolden:
         env.run()
         assert env.scheduled_total - before == 3
         assert q.latency.hex() == "0x1.79b76e1f00c6ep-4"
+
+
+class TestWorkerSlots:
+    @given(
+        st.integers(1, 4),
+        st.lists(st.floats(0.0, 0.1, allow_nan=False), min_size=1, max_size=30),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fifo_grants_capped_at_the_slots_and_no_idle_slot_while_waiting(self, workers, gaps):
+        env = Environment()
+        spec = benchmark("float")
+        sizing = dataclasses.replace(size_service(spec, 30.0), workers=workers)
+        svc = IaaSService(env, spec, sizing, RngRegistry(seed=3))
+        svc.deploy(instant=True)
+        # each worker claim and each start as (qid, now), in event order
+        claims, starts = [], []
+        claim, start = svc._claim_worker, svc._start
+
+        def logged_claim(query):
+            claims.append((query.qid, env.now))
+            claim(query)
+
+        def logged_start(query, t_q):
+            starts.append((query.qid, env.now))
+            start(query, t_q)
+
+        svc._claim_worker, svc._start = logged_claim, logged_start
+        queries = []
+        t = 0.0
+        for i, gap in enumerate(gaps):
+            t += gap
+            q = Query(qid=i, service=spec.name, t_submit=t)
+            queries.append(q)
+            env.schedule_callback(t, lambda q=q: svc.invoke(q))
+        env.run()
+        assert all(q.t_complete is not None for q in queries)
+        # queries start in claim order
+        assert [qid for qid, _ in starts] == [qid for qid, _ in claims]
+        claimed_at = dict(claims)
+        runs = [(now, queries[qid].t_complete) for qid, now in starts]
+
+        def executing(t):
+            return sum(1 for s, e in runs if s <= t < e)
+
+        # at most ``workers`` execute at once
+        assert max(executing(s) for s, _ in runs) <= workers
+        # a query waits only while every slot is busy
+        for qid, started in starts:
+            c = claimed_at[qid]
+            if started > c:
+                edges = [c] + [x for run in runs for x in run if c < x < started]
+                assert all(executing(x) == workers for x in edges), qid
 
 
 class TestUtilization:

@@ -152,6 +152,46 @@ class TestGracefulReclamation:
         assert metrics.preemptions["replaced"] == 1
 
 
+class TestSlotResize:
+    def test_shrunk_slots_queue_new_work_and_restore_starts_it_in_order(self):
+        env, svc, _ = make_spot_service(spot=SpotSpec(fraction=0.5))
+        svc.deploy(instant=True)
+        started = []
+        start = svc._start
+
+        def logged_start(query, t_q):
+            started.append(query.qid)
+            start(query, t_q)
+
+        svc._start = logged_start
+        workers, survivors = svc.sizing.workers, svc._surviving_workers
+        assert workers > survivors
+        queries = [Query(qid=i, service="float", t_submit=0.0) for i in range(workers + 6)]
+        for q in queries[:workers]:
+            svc.invoke(q)
+        env.run(until=0.01)
+        assert started == list(range(workers))
+        svc._stop_doomed_dispatch()
+        assert svc._worker_capacity() == survivors
+        for q in queries[workers:]:
+            svc.invoke(q)
+        env.run(until=0.02)
+        # every slot is held by a survivor of the shrink: the new work queues
+        assert started == list(range(workers)) and len(svc._waiting) == 6
+        # the first waiter starts only once the holders fit the shrunk slots
+        while len(started) == workers:
+            env.step()
+        holders_done = sorted(q.t_complete for q in queries[:workers] if q.t_complete is not None)
+        assert len(holders_done) == workers - survivors + 1
+        assert env.now == holders_done[-1]
+        assert svc._busy == survivors
+        svc._restore_capacity()
+        assert svc._busy == workers and len(svc._waiting) == 6 - 1 - (workers - survivors)
+        env.run()
+        assert started == [q.qid for q in queries]
+        assert all(q.t_complete is not None for q in queries)
+
+
 class TestHardKill:
     PLAN = FaultPlan(vm_preemption_prob=1.0, preemption_check_interval_s=5.0)
 

@@ -50,7 +50,7 @@ def test_proc_overhead_precedes_queueing():
     """The front-end pays its overhead before the query can be queued."""
     env, platform, metrics = make_platform()
     platform.invoke(Query(qid=0, service="float", t_submit=0.0))
-    assert platform.queue_length("float") == 0  # still in the front end
+    assert len(platform.pool.state("float").queue) == 0  # still in the front end
     env.run(until=0.2)
     # by now the proc stage is over and the query reached the pool
     fs = platform.pool.state("float")

@@ -160,7 +160,7 @@ class TestOpenLoopOverloadBaseline:
     def test_event_heap_stays_bounded_while_the_queue_grows(self):
         env, platform, metrics, peak_heap = self._flood(policy=None)
         offered = self.RATE * self.SECONDS
-        backlog = platform.pool.queue_length("float")
+        backlog = len(platform.pool.state("float").queue)
         assert backlog > self.RATE  # genuinely overloaded, queue ballooning
         # queued queries are deque entries, not heap entries: the kernel's
         # event heap tracks in-flight work only, far below offered load

@@ -74,6 +74,6 @@ def test_pool_conservation_laws(script, limit):
     env.run(until=env.now + 600.0)
     fs = platform.pool.state("float")
     assert fs.completions == submitted == metrics.completed
-    assert platform.queue_length("float") == 0
+    assert len(platform.pool.state("float").queue) == 0
     assert fs.total_containers == 0  # keep-alive reaped everything
     assert platform.pool.container_memory_in_use == 0.0

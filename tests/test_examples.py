@@ -3,7 +3,7 @@
 Only the fast examples run here, plus the one multi-system day that
 prints Amoeba's switch list from ``ServiceResult.switch_events`` (the
 heavier tours are exercised by the benchmark suite through the same code
-paths).
+paths), and the README's quickstart snippet.
 """
 
 import runpy
@@ -17,6 +17,7 @@ pytestmark = pytest.mark.slow
 
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+README = EXAMPLES.parent / "README.md"
 
 
 def run_example(name: str, capsys) -> str:
@@ -54,3 +55,9 @@ def test_capacity_planning(capsys):
     out = run_example("capacity_planning.py", capsys)
     assert "just-enough rentals" in out
     assert "containers needed" in out
+
+
+def test_readme_quickstart(capsys):
+    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {"__name__": "__main__"})
+    assert len(capsys.readouterr().out.splitlines()) == 3
