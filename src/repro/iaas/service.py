@@ -59,6 +59,8 @@ class IaaSService:
         overload: Optional[OverloadGovernor] = None,
         spot: Optional[SpotSpec] = None,
     ):
+        if sizing.workers < 1:
+            raise ValueError(f"{spec.name}: workers must be >= 1, got {sizing.workers}")
         self.env = env
         self.spec = spec
         self.sizing = sizing

@@ -1,6 +1,7 @@
 """IaaS service lifecycle and serving."""
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -26,6 +27,29 @@ def make_service(env, rng, name="float", peak=30.0, metrics=None):
 
 def query(env, n=0):
     return Query(qid=n, service="float", t_submit=env.now)
+
+
+def slot_service(workers, seed=3, overload=None):
+    """A deployed ``float`` service with ``workers`` worker slots."""
+    env = Environment()
+    spec = benchmark("float")
+    sizing = dataclasses.replace(size_service(spec, 30.0), workers=workers)
+    svc = IaaSService(env, spec, sizing, RngRegistry(seed=seed), overload=overload)
+    svc.deploy(instant=True)
+    return env, svc
+
+
+def log_starts(svc):
+    """Record ``(qid, now)`` of each worker grant, in grant order."""
+    starts = []
+    start = svc._start
+
+    def logged_start(query, t_q):
+        starts.append((query.qid, svc.env.now))
+        start(query, t_q)
+
+    svc._start = logged_start
+    return starts
 
 
 class TestLifecycle:
@@ -185,35 +209,147 @@ class TestServingGolden:
 
 
 class TestWorkerSlots:
+    def test_zero_worker_slots_are_rejected(self):
+        spec = benchmark("float")
+        sizing = dataclasses.replace(size_service(spec, 30.0), workers=0)
+        with pytest.raises(ValueError):
+            IaaSService(Environment(), spec, sizing, RngRegistry(seed=3))
+
+    def test_claims_past_the_slots_wait(self):
+        env, svc = slot_service(2)
+        starts = log_starts(svc)
+        for i in range(3):
+            svc.invoke(Query(qid=i, service="float", t_submit=0.0))
+        env.run(until=2 * RPC_OVERHEAD)
+        assert starts == [(0, RPC_OVERHEAD), (1, RPC_OVERHEAD)]
+        assert svc._busy == 2
+        assert [q.qid for q, _ in svc._waiting] == [2]
+        assert svc.peak_queue_depth == 1
+
+    def test_one_slot_starts_queries_in_submit_order(self):
+        env, svc = slot_service(1)
+        starts = log_starts(svc)
+        queries = [Query(qid=i, service="float", t_submit=0.0) for i in range(4)]
+        for q in queries:
+            svc.invoke(q)
+        env.run()
+        assert [qid for qid, _ in starts] == [0, 1, 2, 3]
+        # each query starts the instant its predecessor frees the slot
+        assert [t for _, t in starts[1:]] == [q.t_complete for q in queries[:-1]]
+
+    def test_finish_hands_the_slot_to_the_oldest_waiter(self):
+        env, svc = slot_service(1)
+        starts = log_starts(svc)
+        queries = [Query(qid=i, service="float", t_submit=0.0) for i in range(3)]
+        for q in queries:
+            svc.invoke(q)
+        while queries[0].t_complete is None:
+            env.step()
+        assert svc._busy == 1
+        assert [q.qid for q, _ in svc._waiting] == [2]
+        while len(starts) < 2:
+            env.step()
+        assert starts[1] == (1, queries[0].t_complete)
+
+    def test_waiters_start_when_holders_leave(self):
+        env, svc = slot_service(2)
+        starts = log_starts(svc)
+        queries = [Query(qid=i, service="float", t_submit=0.0) for i in range(4)]
+        for q in queries:
+            svc.invoke(q)
+        env.run()
+        q0, q1, q2, _ = (q.t_complete for q in queries)
+        first_free, second_free = sorted([q0, q1])
+        assert starts == [
+            (0, RPC_OVERHEAD),
+            (1, RPC_OVERHEAD),
+            (2, first_free),
+            (3, min(second_free, q2)),
+        ]
+
+    def test_undeploy_serves_the_waiting_queue_before_stopping(self):
+        env, svc = slot_service(1)
+        starts = log_starts(svc)
+        queries = [Query(qid=i, service="float", t_submit=0.0) for i in range(3)]
+        for q in queries:
+            svc.invoke(q)
+        env.run(until=2 * RPC_OVERHEAD)
+        assert len(svc._waiting) == 2
+        done = svc.undeploy()
+        assert svc.state is ServiceState.DRAINING
+        env.run(until=done)
+        assert [qid for qid, _ in starts] == [0, 1, 2]
+        assert all(not q.failed for q in queries)
+        assert env.now == queries[-1].t_complete
+        assert svc.state is ServiceState.STOPPED
+
+    def test_shed_waiter_passes_its_slot_to_the_next(self):
+        spec = benchmark("float")
+        policy = OverloadPolicy(
+            admission_control=False, breaker_enabled=False, queue_wait_budget=0.5
+        )
+        mu = 1.0 / (spec.exec_time + RPC_OVERHEAD)
+        gov = OverloadGovernor(policy, qos_target=spec.qos_target, mu_serverless=mu, mu_iaas=mu)
+        env, svc = slot_service(1, overload=gov)
+        starts = log_starts(svc)
+        queries = [Query(qid=i, service="float", t_submit=0.02 * i) for i in range(12)]
+        for q in queries:
+            env.schedule_callback(q.t_submit, lambda q=q: svc.invoke(q))
+        env.run()
+        shed = [q.qid for q in queries if q.failed]
+        # some shed query hands its slot to one that is then served
+        assert any(not queries[qid + 1].failed for qid in shed if qid < 11)
+        assert [qid for qid, _ in starts] == list(range(12))
+        for (qid, t), (_, t_next) in zip(starts, starts[1:]):
+            if qid in shed:
+                # the shed query never executed; the next waiter got the slot at once
+                assert "exec" not in queries[qid].breakdown
+                assert queries[qid].t_complete == t == t_next
+        assert svc._busy == 0 and not svc._waiting and svc.in_flight == 0
+
+    def test_grant_leaves_no_cyclic_garbage(self):
+        # a grant is a plain callback: a served query leaves nothing that
+        # only the cycle collector can free
+        env, svc = slot_service(4)
+        queries = []
+        for i in range(200):
+            q = Query(qid=i, service="float", t_submit=i * 0.01)
+            queries.append(q)
+            env.schedule_callback(q.t_submit, lambda q=q: svc.invoke(q))
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            env.run()
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert svc.peak_queue_depth > 0
+        assert all(q.t_complete is not None and not q.failed for q in queries)
+
     @given(
         st.integers(1, 4),
         st.lists(st.floats(0.0, 0.1, allow_nan=False), min_size=1, max_size=30),
     )
     @settings(max_examples=40, deadline=None)
     def test_fifo_grants_capped_at_the_slots_and_no_idle_slot_while_waiting(self, workers, gaps):
-        env = Environment()
-        spec = benchmark("float")
-        sizing = dataclasses.replace(size_service(spec, 30.0), workers=workers)
-        svc = IaaSService(env, spec, sizing, RngRegistry(seed=3))
-        svc.deploy(instant=True)
+        env, svc = slot_service(workers)
         # each worker claim and each start as (qid, now), in event order
-        claims, starts = [], []
-        claim, start = svc._claim_worker, svc._start
+        claims = []
+        claim = svc._claim_worker
 
         def logged_claim(query):
             claims.append((query.qid, env.now))
             claim(query)
 
-        def logged_start(query, t_q):
-            starts.append((query.qid, env.now))
-            start(query, t_q)
-
-        svc._claim_worker, svc._start = logged_claim, logged_start
+        svc._claim_worker = logged_claim
+        starts = log_starts(svc)
         queries = []
         t = 0.0
         for i, gap in enumerate(gaps):
             t += gap
-            q = Query(qid=i, service=spec.name, t_submit=t)
+            q = Query(qid=i, service="float", t_submit=t)
             queries.append(q)
             env.schedule_callback(t, lambda q=q: svc.invoke(q))
         env.run()

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import SpotSpec
 from repro.faults import FaultInjector, FaultPlan
 from repro.iaas.service import IaaSService, ServiceState
-from repro.iaas.sizing import size_service
+from repro.iaas.sizing import RPC_OVERHEAD, size_service
 from repro.sim.environment import Environment
 from repro.sim.rng import RngRegistry
 from repro.telemetry import ServiceMetrics
@@ -191,6 +191,37 @@ class TestSlotResize:
         assert started == [q.qid for q in queries]
         assert all(q.t_complete is not None for q in queries)
 
+    def test_restore_grants_the_waiters_at_once(self):
+        env, svc, _ = make_spot_service(spot=SpotSpec(fraction=0.5))
+        svc.deploy(instant=True)
+        svc._stop_doomed_dispatch()
+        survivors = svc._worker_capacity()
+        assert svc.sizing.workers >= survivors + 2
+        queries = [Query(qid=i, service="float", t_submit=0.0) for i in range(survivors + 2)]
+        for q in queries:
+            svc.invoke(q)
+        env.run(until=0.01)
+        assert svc._busy == survivors and len(svc._waiting) == 2
+        svc._restore_capacity()
+        assert svc._busy == survivors + 2 and not svc._waiting
+        env.run()
+        assert all(q.t_complete is not None and not q.failed for q in queries)
+        assert svc._busy == 0
+
+    def test_surviving_slots_never_drop_below_one(self):
+        env, svc, _ = make_spot_service(spot=SpotSpec(fraction=1.0))
+        svc.deploy(instant=True)
+        svc._stop_doomed_dispatch()
+        assert svc._worker_capacity() == 1
+        queries = [Query(qid=i, service="float", t_submit=0.0) for i in range(3)]
+        for q in queries:
+            svc.invoke(q)
+        env.run()
+        # one slot: each query starts as its predecessor completes
+        started = [RPC_OVERHEAD + q.breakdown["queue"] for q in queries]
+        assert started == pytest.approx([RPC_OVERHEAD] + [q.t_complete for q in queries[:-1]])
+        assert all(q.t_complete is not None and not q.failed for q in queries)
+
 
 class TestHardKill:
     PLAN = FaultPlan(vm_preemption_prob=1.0, preemption_check_interval_s=5.0)
@@ -212,6 +243,19 @@ class TestHardKill:
         assert metrics.failed == metrics.preemptions["killed_inflight"]
         # conservation holds even through the kills
         assert metrics.completed + metrics.failed + svc.in_flight == metrics.load.total
+
+    def test_slots_balance_after_the_kills(self):
+        # a victim's slot is freed once, by its ghost execution finishing
+        env, svc, metrics = make_spot_service(
+            spot=SpotSpec(fraction=0.5, graceful=False), plan=self.PLAN
+        )
+        ready = svc.deploy()
+        drive(env, svc, ready, 4 * svc.sizing.workers, gap=0.0, start=4.9)
+        env.run(until=600.0)
+        assert metrics.preemptions["killed_inflight"] >= 1
+        assert svc.in_flight == 0
+        assert svc._busy == 0 and not svc._waiting and not svc._active
+        assert metrics.completed + metrics.failed == metrics.load.total
 
     def test_hook_reports_zero_notice(self):
         env, svc, _ = make_spot_service(
