@@ -150,10 +150,23 @@ class TestOpenLoopOverload:
         assert metrics.violation_fraction > 0.5
 
 
+#: every fault kind at zero; a pin spells out the kinds that fired
+_NO_FAULTS = dict.fromkeys(
+    (
+        "cold_start_failures", "cold_starts_abandoned", "container_crashes",
+        "query_retries", "queries_dropped", "vm_boot_failures", "vm_boot_delays",
+        "vm_boots_abandoned", "prewarm_acks_lost", "prewarm_acks_delayed",
+        "meter_samples_dropped", "meter_outages", "vm_preemptions",
+    ),
+    0,
+)
+_NO_PREEMPTIONS = {"noticed": 0, "drained": 0, "killed_inflight": 0, "replaced": 0}
+
+
 def _history(result, name="matmul"):
-    """Every switch, decision and breaker count one run's result records."""
+    """Every switch, decision, breaker, fault and preemption count one run records."""
     fg = result.services[name]
-    legs, decisions, ov = fg.switch_legs, fg.decisions, result.overload
+    legs, decisions, ov, faults = fg.switch_legs, fg.decisions, result.overload, result.faults
     breaker = None
     if ov is not None:
         states = [state for _t, state in ov.breaker_transitions]
@@ -175,11 +188,14 @@ def _history(result, name="matmul"):
         "brownout": None if ov is None else sum(d.brownout for d in decisions),
         "surge": None if ov is None else sum(d.surge for d in decisions),
         "breaker": breaker,
+        "faults": None if faults is None else dict(faults.injected),
+        "total_injected": None if faults is None else faults.total_injected,
+        "preemptions": dict(fg.metrics.preemptions),
     }
 
 
 class TestRunHistoryPins:
-    """Switch legs, controller period counts and breaker edges, as literals.
+    """Switch legs, controller periods, breaker edges, faults and preemptions, as literals.
 
     The values were recorded from the stored counters and lists; they
     must come back unchanged from whatever the run history is read from.
@@ -200,6 +216,16 @@ class TestRunHistoryPins:
             "brownout": None,
             "surge": None,
             "breaker": None,
+            "faults": {
+                **_NO_FAULTS,
+                "cold_start_failures": 26,
+                "container_crashes": 179,
+                "query_retries": 179,
+                "meter_samples_dropped": 46,
+                "meter_outages": 6,
+            },
+            "total_injected": 257,
+            "preemptions": _NO_PREEMPTIONS,
         }
 
     def test_ack_loss_and_boot_failure_abort_legs(self):
@@ -227,6 +253,14 @@ class TestRunHistoryPins:
             "brownout": None,
             "surge": None,
             "breaker": None,
+            "faults": {
+                **_NO_FAULTS,
+                "vm_boot_failures": 2,
+                "vm_boots_abandoned": 1,
+                "prewarm_acks_lost": 1,
+            },
+            "total_injected": 3,
+            "preemptions": _NO_PREEMPTIONS,
         }
 
     def test_overload_at_factor_three(self):
@@ -247,6 +281,16 @@ class TestRunHistoryPins:
             "brownout": 16,
             "surge": 0,
             "breaker": (3, 1, 4, 3, "closed"),
+            "faults": {
+                **_NO_FAULTS,
+                "cold_start_failures": 6,
+                "container_crashes": 74,
+                "query_retries": 74,
+                "meter_samples_dropped": 33,
+                "meter_outages": 4,
+            },
+            "total_injected": 117,
+            "preemptions": _NO_PREEMPTIONS,
         }
 
     def test_graceful_spot_cell_with_flash_crowds(self):
@@ -278,4 +322,7 @@ class TestRunHistoryPins:
             "brownout": 4,
             "surge": 19,
             "breaker": (1, 0, 1, 1, "closed"),
+            "faults": {**_NO_FAULTS, "vm_preemptions": 1},
+            "total_injected": 1,
+            "preemptions": {"noticed": 1, "drained": 1, "killed_inflight": 0, "replaced": 1},
         }
