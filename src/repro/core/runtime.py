@@ -101,7 +101,7 @@ class AmoebaRuntime:
         # a zero-rate plan makes zero draws (the injector's determinism
         # contract), so wiring the injector in is behaviourally inert
         # until a rate is actually raised above zero
-        self.faults = FaultInjector(faults, self.rng) if faults is not None else None
+        self.faults = FaultInjector(self.env, faults, self.rng) if faults is not None else None
         # like the zero fault plan, a disabled policy's governors make
         # every decision a no-op, so wiring them in is behaviourally
         # inert (the disabled-policy bit-identity test holds us to that)

@@ -84,8 +84,8 @@ def chaos_sweep(
             [
                 scale,
                 fs.total_injected,
-                fs.query_retries,
-                fs.queries_dropped,
+                fs["query_retries"],
+                fs["queries_dropped"],
                 fg_drops["crash"],
                 sum(leg.abort_reason is not None for leg in legs),
                 len(fg.mode_timeline) - 1,

@@ -24,7 +24,6 @@ from repro.telemetry import ServiceMetrics
 from repro.workloads import ConstantTrace, LoadGenerator, MicroserviceSpec
 
 __all__ = [
-    "FaultSummary",
     "OverloadSummary",
     "latency_cdf",
     "peak_load_iaas",
@@ -56,34 +55,13 @@ def resample_zoh(
 
 
 @dataclass(frozen=True)
-class FaultSummary:
-    """Fault-layer outcome of one run (all zero on a fault-free run).
-
-    ``injected`` is the raw :class:`~repro.faults.injector.FaultStats`
-    counter dict.  The runtime's responses — aborted switches, forced
-    drains, safe-mode periods — are read from the foreground
-    :class:`~repro.experiments.runner.ServiceResult`'s switch legs and
-    controller decisions, not copied here.
-    """
-
-    #: raw injection counters (FaultStats.as_dict())
-    injected: Dict[str, int] = field(default_factory=dict)
-    #: every primary injection (retries/drops are consequences)
-    total_injected: int = 0
-    #: crash-retry resubmissions across all services
-    query_retries: int = 0
-    #: queries dropped after exhausting their retry budget
-    queries_dropped: int = 0
-
-
-@dataclass(frozen=True)
 class OverloadSummary:
     """Overload-layer outcome of one run (foreground service).
 
     Present on a :class:`~repro.experiments.runner.RunResult` whenever a
     policy — even a disabled one — was attached to the scenario.  Drops,
     retries and preemptions are the foreground ``ServiceMetrics``
-    families, and brownout or surge periods count over its controller
+    families and log, and brownout or surge periods count over its controller
     decisions; the breaker lifecycle is read from ``breaker_transitions``.
     """
 

@@ -28,12 +28,13 @@ from repro.cluster import UsageLedger, UsageSample
 from repro.core import AmoebaConfig, AmoebaRuntime, InvariantMonitor
 from repro.core.controller import ControllerDecision, DeploymentController
 from repro.core.engine import DeployMode, HybridExecutionEngine, SwitchLeg
+from repro.faults import FaultStats
 from repro.iaas import IaaSPlatform, IaaSService
 from repro.serverless import ServerlessPlatform
 from repro.sim import Environment, RngRegistry, TimeSeries
 from repro.telemetry import ServiceMetrics
 from repro.workloads import AmbientTenants, LoadGenerator, MicroserviceSpec
-from repro.experiments.metrics import FaultSummary, OverloadSummary, resample_zoh
+from repro.experiments.metrics import OverloadSummary, resample_zoh
 from repro.experiments.scenarios import Scenario
 
 __all__ = ["RunResult", "ServiceResult", "collect_service", "run_amoeba", "run_nameko", "run_openwhisk"]
@@ -128,8 +129,8 @@ class RunResult:
     meter_overhead: float = 0.0
     #: per-meter mean CPU overhead (fraction of the node), Amoeba only
     meter_overheads: Dict[str, float] = field(default_factory=dict)
-    #: fault-layer outcome, Amoeba only (None when no plan was attached)
-    faults: Optional[FaultSummary] = None
+    #: the injector's fault log, Amoeba only (None when no plan was attached)
+    faults: Optional[FaultStats] = None
     #: overload-layer outcome, Amoeba only (None when no policy attached)
     overload: Optional[OverloadSummary] = None
     #: end-to-end call-graph outcome (graph runs only)
@@ -241,15 +242,6 @@ def run_amoeba(
     }
     for bg_name, bg in rt.background.items():
         services[bg_name] = collect_service(bg.spec, bg.metrics, serverless=rt.serverless)
-    fault_summary: Optional[FaultSummary] = None
-    if rt.faults is not None:
-        stats = rt.faults.stats
-        fault_summary = FaultSummary(
-            injected=stats.as_dict(),
-            total_injected=stats.total_injected,
-            query_retries=stats.query_retries,
-            queries_dropped=stats.queries_dropped,
-        )
     overload_summary: Optional[OverloadSummary] = None
     if fg.overload is not None:
         gov = fg.overload
@@ -268,7 +260,7 @@ def run_amoeba(
         services=services,
         meter_overhead=rt.meter_overhead(),
         meter_overheads=rt.monitor.meter_overheads(),
-        faults=fault_summary,
+        faults=rt.faults.stats if rt.faults is not None else None,
         overload=overload_summary,
     )
 

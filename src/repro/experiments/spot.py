@@ -199,10 +199,10 @@ def spot_sweep(
                 mode,
                 fg.metrics.violation_fraction,
                 fg.metrics.violation_fraction_with_failures,
-                preempt.get("noticed", 0),
-                preempt.get("drained", 0),
-                preempt.get("killed_inflight", 0),
-                preempt.get("replaced", 0),
+                preempt["noticed"],
+                preempt["drained"],
+                preempt["killed_inflight"],
+                preempt["replaced"],
                 sum(leg.emergency for leg in fg.switch_legs),
                 sum(d.surge for d in fg.decisions),
                 cost,

@@ -14,8 +14,9 @@ under:
   probability from a *named* :class:`~repro.sim.rng.RngRegistry` stream
   so the same seed and the same plan always produce the identical fault
   sequence;
-* :class:`~repro.faults.injector.FaultStats` — counters of everything
-  injected, surfaced through the experiment metrics.
+* :class:`~repro.faults.injector.FaultStats` — the run's fault log, one
+  ``(t, kind, where)`` record per injection and consequence, read as
+  counts (``RunResult.faults``).
 
 Determinism contract: a plan whose rates are all zero makes **zero** RNG
 draws and creates **zero** streams, so running with a zero-rate injector

@@ -1,4 +1,4 @@
-"""The runtime fault injector: seeded decisions + injection counters.
+"""The runtime fault injector: seeded decisions + the fault log.
 
 One :class:`FaultInjector` is shared by every component of a run (pool,
 IaaS services, serverless platform facade, contention monitor).  Each
@@ -20,100 +20,93 @@ bit-identical to a run without the fault layer (gated in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict
-
 from repro.faults.plan import FaultPlan
-from repro.sim import Environment, Event, RngRegistry
+from repro.sim import Environment, Event, EventLog, RngRegistry
 
 __all__ = ["FaultInjector", "FaultStats", "VMBootFailed"]
+
+#: every fault kind in the order its count is read: the nine primary
+#: injections, interleaved with the four consequences in _CONSEQUENCES
+FAULT_KINDS = (
+    "cold_start_failures",
+    "cold_starts_abandoned",
+    "container_crashes",
+    "query_retries",
+    "queries_dropped",
+    "vm_boot_failures",
+    "vm_boot_delays",
+    "vm_boots_abandoned",
+    "prewarm_acks_lost",
+    "prewarm_acks_delayed",
+    "meter_samples_dropped",
+    "meter_outages",
+    "vm_preemptions",
+)
+_CONSEQUENCES = frozenset(("cold_starts_abandoned", "query_retries", "queries_dropped", "vm_boots_abandoned"))
 
 
 class VMBootFailed(RuntimeError):
     """A VM boot exhausted its retry budget; the deploy is rolled back."""
 
 
-@dataclass
-class FaultStats:
-    """Counters of everything the injector actually fired."""
+class FaultStats(EventLog):
+    """The run's fault log: one ``(t, kind, service or meter)`` record per event."""
 
-    cold_start_failures: int = 0
-    cold_starts_abandoned: int = 0
-    container_crashes: int = 0
-    query_retries: int = 0
-    queries_dropped: int = 0
-    vm_boot_failures: int = 0
-    vm_boot_delays: int = 0
-    vm_boots_abandoned: int = 0
-    prewarm_acks_lost: int = 0
-    prewarm_acks_delayed: int = 0
-    meter_samples_dropped: int = 0
-    meter_outages: int = 0
-    vm_preemptions: int = 0
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        super().__init__("fault kind", FAULT_KINDS)
 
     @property
     def total_injected(self) -> int:
         """Every primary injection (retries/drops are consequences)."""
-        return (
-            self.cold_start_failures
-            + self.container_crashes
-            + self.vm_boot_failures
-            + self.vm_boot_delays
-            + self.prewarm_acks_lost
-            + self.prewarm_acks_delayed
-            + self.meter_samples_dropped
-            + self.meter_outages
-            + self.vm_preemptions
-        )
-
-    def as_dict(self) -> Dict[str, int]:
-        """Counter name -> value (for reports and CSV export)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return sum(1 for _t, kind, _w in self.records if kind not in _CONSEQUENCES)
 
 
 class FaultInjector:
     """Turns a :class:`FaultPlan` into concrete, reproducible decisions."""
 
-    def __init__(self, plan: FaultPlan, rng: RngRegistry) -> None:
+    def __init__(self, env: Environment, plan: FaultPlan, rng: RngRegistry) -> None:
+        self.env = env
         self.plan = plan
         self.rng = rng
         self.stats = FaultStats()
 
-    def _hit(self, prob: float, stream: str) -> bool:
-        """One Bernoulli decision; draws only when the fault is enabled."""
+    def record(self, kind: str, where: str) -> None:
+        """Log one ``kind`` event on ``where`` at the current sim time."""
+        self.stats.add(self.env.now, kind, where)
+
+    def _hit(self, prob: float, stream: str, kind: str, where: str) -> bool:
+        """One Bernoulli draw on ``faults/<stream>/<where>``, only when enabled.
+
+        A hit is logged as ``kind`` on ``where``; a miss logs nothing.
+        """
         if prob <= 0.0:
             return False
-        return self.rng.stream(stream).random() < prob
+        hit = self.rng.stream(f"faults/{stream}/{where}").random() < prob
+        if hit:
+            self.record(kind, where)
+        return hit
 
     # -- serverless containers ---------------------------------------------
     def cold_start_fails(self, service: str) -> bool:
         """Does this cold-start attempt die during runtime boot?"""
-        hit = self._hit(self.plan.cold_start_failure_prob, f"faults/coldstart/{service}")
-        if hit:
-            self.stats.cold_start_failures += 1
-        return hit
+        return self._hit(self.plan.cold_start_failure_prob, "coldstart", "cold_start_failures", service)
 
     def container_crashes(self, service: str) -> bool:
         """Does the container crash while serving this query?"""
-        hit = self._hit(self.plan.container_crash_prob, f"faults/crash/{service}")
-        if hit:
-            self.stats.container_crashes += 1
-        return hit
+        return self._hit(self.plan.container_crash_prob, "crash", "container_crashes", service)
 
     # -- IaaS VMs ----------------------------------------------------------
     def vm_boot_delay(self, service: str) -> float:
         """Extra seconds this boot attempt straggles (0.0 = on time)."""
-        if self._hit(self.plan.vm_boot_delay_prob, f"faults/vmboot/{service}"):
-            self.stats.vm_boot_delays += 1
+        if self._hit(self.plan.vm_boot_delay_prob, "vmboot", "vm_boot_delays", service):
             return self.plan.vm_boot_delay_s
         return 0.0
 
     def vm_boot_fails(self, service: str) -> bool:
         """Does this boot attempt fail outright?"""
-        hit = self._hit(self.plan.vm_boot_failure_prob, f"faults/vmboot/{service}")
-        if hit:
-            self.stats.vm_boot_failures += 1
-        return hit
+        return self._hit(self.plan.vm_boot_failure_prob, "vmboot", "vm_boot_failures", service)
 
     def vm_preempted(self, service: str) -> bool:
         """Does the cloud reclaim this service's spot share right now?
@@ -124,28 +117,21 @@ class FaultInjector:
         plan makes zero draws — the bit-identity contract every other
         fault class honours.
         """
-        hit = self._hit(self.plan.vm_preemption_prob, f"faults/preemption/{service}")
-        if hit:
-            self.stats.vm_preemptions += 1
-        return hit
+        return self._hit(self.plan.vm_preemption_prob, "preemption", "vm_preemptions", service)
 
     # -- contention meters -------------------------------------------------
     def meter_outage(self, meter: str) -> float:
         """Outage duration starting at this sample (0.0 = meter healthy)."""
-        if self._hit(self.plan.meter_outage_prob, f"faults/meter/{meter}"):
-            self.stats.meter_outages += 1
+        if self._hit(self.plan.meter_outage_prob, "meter", "meter_outages", meter):
             return self.plan.meter_outage_duration_s
         return 0.0
 
     def meter_sample_dropped(self, meter: str) -> bool:
         """Is this single meter invocation silently lost?"""
-        hit = self._hit(self.plan.meter_drop_prob, f"faults/meter/{meter}")
-        if hit:
-            self.stats.meter_samples_dropped += 1
-        return hit
+        return self._hit(self.plan.meter_drop_prob, "meter", "meter_samples_dropped", meter)
 
     # -- switch protocol ---------------------------------------------------
-    def filter_prewarm_ack(self, service: str, ack: Event, env: Environment) -> Event:
+    def filter_prewarm_ack(self, service: str, ack: Event) -> Event:
         """The ack the engine actually observes: intact, late, or never.
 
         A *lost* ack is a fresh event that never fires — the engine's
@@ -154,13 +140,10 @@ class FaultInjector:
         always fires regardless (the containers really did warm; only
         the acknowledgement path is faulty).
         """
-        stream = f"faults/ack/{service}"
-        if self._hit(self.plan.prewarm_ack_loss_prob, stream):
-            self.stats.prewarm_acks_lost += 1
-            return env.event()
-        if self._hit(self.plan.prewarm_ack_delay_prob, stream):
-            self.stats.prewarm_acks_delayed += 1
-            delayed = env.event()
+        if self._hit(self.plan.prewarm_ack_loss_prob, "ack", "prewarm_acks_lost", service):
+            return self.env.event()
+        if self._hit(self.plan.prewarm_ack_delay_prob, "ack", "prewarm_acks_delayed", service):
+            delayed = self.env.event()
             delay = self.plan.prewarm_ack_delay_s
 
             def _relay(ev: Event) -> None:

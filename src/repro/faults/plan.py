@@ -15,7 +15,7 @@ plan provably disables the whole layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 __all__ = ["FaultPlan"]
 
@@ -109,11 +109,6 @@ class FaultPlan:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
-    @property
-    def any_faults(self) -> bool:
-        """True when at least one fault class can actually fire."""
-        return any(getattr(self, name) > 0.0 for name in _PROB_FIELDS)
-
     def scaled(self, factor: float) -> "FaultPlan":
         """A plan with every probability multiplied by ``factor``.
 
@@ -127,12 +122,3 @@ class FaultPlan:
             name: min(getattr(self, name) * factor, 1.0) for name in _PROB_FIELDS
         }
         return replace(self, **changes)
-
-    def describe(self) -> str:
-        """One-line summary of the non-zero fault rates (for reports)."""
-        parts = [
-            f"{f.name}={getattr(self, f.name):g}"
-            for f in fields(self)
-            if f.name in _PROB_FIELDS and getattr(self, f.name) > 0.0
-        ]
-        return "faults(" + (", ".join(parts) if parts else "none") + ")"

@@ -172,7 +172,7 @@ class IaaSService:
                 yield self.env.timeout(plan.boot_retry_backoff_s * attempts)
                 continue
             # give up: roll the deploy back so a later deploy() can work
-            self.faults.stats.vm_boots_abandoned += 1
+            self.faults.record("vm_boots_abandoned", name)
             self.state = ServiceState.STOPPED
             self.boot_ready = None
             ready.fail(VMBootFailed(f"{name}: boot failed after {attempts + 1} attempts"))
@@ -299,7 +299,7 @@ class IaaSService:
         graceful = spot.graceful and spot.notice_s > 0.0
         notice = spot.notice_s if graceful else 0.0
         if graceful and self.metrics is not None:
-            self.metrics.preemptions.add("noticed")
+            self.metrics.preemptions.add(self.env.now, "noticed", self.spec.name)
         # the replacement starts booting at the notice, not the deadline
         self.env.process(self._replacement_boot())
         if self.on_preemption is not None:
@@ -340,7 +340,7 @@ class IaaSService:
         if victims > 0:
             self._kill_victims(victims)
         elif self.spot is not None and self.spot.graceful and self.metrics is not None:
-            self.metrics.preemptions.add("drained")
+            self.metrics.preemptions.add(self.env.now, "drained", self.spec.name)
 
     def _kill_victims(self, count: int) -> None:
         """Kill the ``count`` most recently started executions.
@@ -356,7 +356,7 @@ class IaaSService:
             del self._active[token]
             query.preempt_killed = True
             if self.metrics is not None:
-                self.metrics.preemptions.add("killed_inflight")
+                self.metrics.preemptions.add(now, "killed_inflight", self.spec.name)
             drop_query(query, "preempted", now, "iaas", self.metrics, self.overload)
             self.in_flight -= 1
         self._maybe_release()
@@ -388,7 +388,7 @@ class IaaSService:
                 self._held_cores += missing_cores
                 self._held_memory_mb += missing_mem
         if self.metrics is not None:
-            self.metrics.preemptions.add("replaced")
+            self.metrics.preemptions.add(self.env.now, "replaced", self.spec.name)
 
     # -- serving ----------------------------------------------------------------
     def invoke(self, query: Query) -> None:

@@ -88,7 +88,7 @@ class ServerlessPlatform:
         """
         ack = self.pool.prewarm(name, count)
         if self.faults is not None:
-            ack = self.faults.filter_prewarm_ack(name, ack, self.env)
+            ack = self.faults.filter_prewarm_ack(name, ack)
         return ack
 
     def n_max(self, name: str) -> int:

@@ -301,7 +301,7 @@ class ContainerPool:
             # pending ready event resolves with None (so prewarm AllOfs
             # still fire) and the pump re-plans for any backlog that was
             # counting on this container.
-            self.faults.stats.cold_starts_abandoned += 1
+            self.faults.record("cold_starts_abandoned", fs.spec.name)
             fs.n_init -= 1
             self._retire(fs, container)
             container.state = ContainerState.CRASHED
@@ -453,13 +453,13 @@ class ContainerPool:
         container.state = ContainerState.CRASHED
         query.attempts += 1
         if query.attempts <= plan.max_query_retries:
-            self.faults.stats.query_retries += 1
+            self.faults.record("query_retries", fs.spec.name)
             if fs.metrics is not None:
                 fs.metrics.retries.add("attempted")
             backoff = plan.retry_backoff_s * query.attempts
             self.env.schedule_callback(max(backoff, 1e-6), lambda: self.submit(query))
         else:
-            self.faults.stats.queries_dropped += 1
+            self.faults.record("queries_dropped", fs.spec.name)
             if fs.metrics is not None:
                 fs.metrics.retries.add("exhausted")
             if not query.canary:

@@ -16,21 +16,23 @@ Design notes (see DESIGN.md §6):
   hands out named, independently-seeded ``numpy.random.Generator``
   substreams so that experiments are bit-reproducible.
 * Statistics helpers (:mod:`repro.sim.stats`) provide a fixed-size
-  latency reservoir, decimating time series and the time-weighted
-  counters used by the resource accounting ledgers.
+  latency reservoir, decimating time series, the time-weighted
+  counters used by the resource accounting ledgers and the event log
+  of faults and preemptions.
 """
 
 from repro.sim.environment import Environment
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
-from repro.sim.stats import ReservoirSample, TimeSeries, TimeWeightedStats
+from repro.sim.stats import EventLog, ReservoirSample, TimeSeries, TimeWeightedStats
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Environment",
     "Event",
+    "EventLog",
     "Process",
     "ReservoirSample",
     "RngRegistry",

@@ -10,16 +10,19 @@ These helpers keep the accounting O(1) per observation:
   over simulated time (utilization, container counts, memory in use).
 * :class:`TimeSeries` — decimating recorder of (t, value) pairs for the
   timeline figures.
+* :class:`EventLog` — append-only (t, kind, where) records of one
+  mechanism's rare events (faults, spot preemptions), read as counts.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
+    "EventLog",
     "ReservoirSample",
     "TimeSeries",
     "TimeWeightedStats",
@@ -141,3 +144,41 @@ class TimeSeries:
     def values(self) -> np.ndarray:
         """Sample values as an array."""
         return np.asarray(self._v, dtype=float)
+
+
+class EventLog(Mapping[str, int]):
+    """Append-only ``(t, kind, where)`` records, read as ``{kind: count}``.
+
+    ``kinds`` is fixed: :meth:`add` refuses any other kind, and the
+    mapping iterates the kinds in that order, zeros included.  A count
+    is a scan of :attr:`records`, so the log suits rare events such as
+    faults and spot preemptions.  Per-query families (``drops{reason}``,
+    ``retries{kind}``) stay int counters in
+    :class:`repro.telemetry.CounterFamily`: one tuple per dropped query
+    would cost memory on an overload run.
+    """
+
+    __slots__ = ("label", "kinds", "records")
+
+    def __init__(self, label: str, kinds: Iterable[str]) -> None:
+        self.label = label
+        self.kinds = tuple(kinds)
+        #: every event in append (hence time) order
+        self.records: List[Tuple[float, str, str]] = []
+
+    def add(self, t: float, kind: str, where: str) -> None:
+        """Log one ``kind`` event at sim time ``t`` on ``where``."""
+        if kind not in self.kinds:
+            raise ValueError(f"unknown {self.label} {kind!r}")
+        self.records.append((t, kind, where))
+
+    def __getitem__(self, kind: str) -> int:
+        if kind not in self.kinds:
+            raise KeyError(kind)
+        return sum(1 for _t, k, _w in self.records if k == kind)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.kinds)
+
+    def __len__(self) -> int:
+        return len(self.kinds)

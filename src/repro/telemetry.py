@@ -16,7 +16,7 @@ from typing import Deque, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.overload import DROP_REASONS, OverloadGovernor
-from repro.sim import ReservoirSample
+from repro.sim import EventLog, ReservoirSample
 from repro.workloads import Query
 
 __all__ = [
@@ -39,8 +39,8 @@ STAGES = ("proc", "queue", "cold", "load", "exec", "post")
 #: budget could no longer cover a downstream attempt)
 RETRY_KINDS = ("attempted", "exhausted", "deadline_abandoned")
 
-#: the unified ``preemptions{kind}`` counter family for spot reclamation
-#: episodes: ``noticed`` (a reclamation warning was delivered),
+#: the kinds of the ``preemptions`` log of spot reclamation episodes:
+#: ``noticed`` (a reclamation warning was delivered),
 #: ``drained`` (a graceful episode finished with no in-flight casualty),
 #: ``killed_inflight`` (a query died on the reclaimed share — one count
 #: per query), ``replaced`` (an on-demand replacement restored capacity)
@@ -158,14 +158,13 @@ class ServiceMetrics:
         self.last_canary_time: Optional[float] = None
         #: the ``retries{kind}`` family (:data:`RETRY_KINDS`)
         self.retries = CounterFamily("retry kind", RETRY_KINDS)
-        #: total dropped user queries (sum over :attr:`drops`)
-        self.failed = 0
         #: the ``dropped{reason}`` family (:data:`DROP_REASONS`): crash
         #: (retry exhaustion), admission (rejected on arrival), shed (queue
         #: wait blew the budget), breaker (brownout drop-tail), preempted
         self.drops = CounterFamily("drop reason", DROP_REASONS)
-        #: the ``preemptions{kind}`` family (:data:`PREEMPTION_KINDS`)
-        self.preemptions = CounterFamily("preemption kind", PREEMPTION_KINDS)
+        #: the spot reclamation log, ``(t, kind, service)`` per event
+        #: (:data:`PREEMPTION_KINDS`)
+        self.preemptions = EventLog("preemption kind", PREEMPTION_KINDS)
 
     def record_arrival(self, t: float, canary: bool = False) -> None:
         """Register a query submission (canaries excluded from load)."""
@@ -214,6 +213,11 @@ class ServiceMetrics:
     def violation_fraction(self) -> float:
         """Fraction of completed user queries over the QoS target."""
         return self.violations / self.completed if self.completed else 0.0
+
+    @property
+    def failed(self) -> int:
+        """Total dropped user queries (sum over :attr:`drops`)."""
+        return self.drops.total
 
     @property
     def violation_fraction_with_failures(self) -> float:
@@ -265,11 +269,11 @@ def drop_query(
     """The one terminal path of a dropped query, on either platform.
 
     Stamps the query failed at ``now`` on ``platform``, counts it in
-    ``drops{reason}`` (:data:`DROP_REASONS`) and ``failed``, feeds the
-    governor (a rejection for admission, shed and breaker drops, a bad
-    outcome for a crash, nothing for a preemption) and fires the
-    terminal hook last.  Site-specific steps (census, retry/preemption
-    counters, queue-wait breakdown) stay at the call site, before this.
+    ``drops{reason}`` (:data:`DROP_REASONS`), feeds the governor (a
+    rejection for admission, shed and breaker drops, a bad outcome for a
+    crash, nothing for a preemption) and fires the terminal hook last.
+    Site-specific steps (census, retry counters, preemption log,
+    queue-wait breakdown) stay at the call site, before this.
     A dropped query never reaches ``record_completion``; a canary drop
     counts nothing (shadow traffic is not user QoS), but its reason is
     still checked.
@@ -283,7 +287,6 @@ def drop_query(
     else:
         if metrics is not None:
             metrics.drops.add(reason)
-            metrics.failed += 1
         if overload is not None:
             if reason == "crash":
                 overload.note_outcome(False, now)

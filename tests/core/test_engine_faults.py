@@ -29,7 +29,7 @@ QIDS = itertools.count()
 def make_engine(config=None, initial=DeployMode.IAAS, plan=None, seed=6):
     env = Environment()
     rng = RngRegistry(seed=seed)
-    faults = FaultInjector(plan, rng) if plan is not None else None
+    faults = FaultInjector(env, plan, rng) if plan is not None else None
     config = config if config is not None else AmoebaConfig(min_dwell=0.0)
     spec = benchmark("float")
     metrics = ServiceMetrics("float", spec.qos_target)
@@ -67,7 +67,7 @@ class TestAckLoss:
         assert reason == "prewarm ack deadline"
         assert t == pytest.approx(5.0)
         assert engine.last_switch_time == pytest.approx(t)  # dwell re-entered
-        assert faults.stats.prewarm_acks_lost == 1
+        assert faults.stats["prewarm_acks_lost"] == 1
 
     def test_switch_succeeds_after_an_abort(self):
         env, engine, faults = make_engine(
@@ -92,7 +92,7 @@ class TestAckLoss:
         env.run(until=90.0)
         assert engine.mode is DeployMode.SERVERLESS
         assert aborts(engine) == []
-        assert faults.stats.prewarm_acks_delayed == 1
+        assert faults.stats["prewarm_acks_delayed"] == 1
 
 
 class TestBootFailure:

@@ -17,7 +17,7 @@ from repro.workloads.functionbench import benchmark
 def make_engine(policy=None, config=None, plan=None, seed=6, limit=16):
     env = Environment()
     rng = RngRegistry(seed=seed)
-    faults = FaultInjector(plan, rng) if plan is not None else None
+    faults = FaultInjector(env, plan, rng) if plan is not None else None
     config = config if config is not None else AmoebaConfig(min_dwell=0.0)
     spec = benchmark("float")
     metrics = ServiceMetrics("float", spec.qos_target)

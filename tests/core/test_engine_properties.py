@@ -32,7 +32,7 @@ actions = st.lists(
 def make_engine(config, plan=None):
     env = Environment()
     rng = RngRegistry(seed=99)
-    faults = FaultInjector(plan, rng) if plan is not None else None
+    faults = FaultInjector(env, plan, rng) if plan is not None else None
     spec = benchmark("float")
     metrics = ServiceMetrics("float", spec.qos_target)
     iaas = IaaSService(env, spec, size_service(spec, 30.0), rng, metrics=metrics, faults=faults)

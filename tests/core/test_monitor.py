@@ -123,7 +123,8 @@ class TestMeterSampling:
     HORIZON = 400.0
 
     def sampled(self, faults=None):
-        env, platform, monitor = make_monitor(faults=faults)
+        env = faults.env if faults is not None else None
+        env, platform, monitor = make_monitor(env=env, faults=faults)
         monitor.start()
         seen = {name: [] for name in AXIS_METERS}
         # record the canaries instead of serving them
@@ -143,11 +144,11 @@ class TestMeterSampling:
 
     def test_outages_and_drops_skip_like_the_meter_process(self):
         plan = FaultPlan(meter_outage_prob=0.01, meter_outage_duration_s=7.5, meter_drop_prob=0.2)
-        faults = FaultInjector(plan, RngRegistry(seed=3))
+        faults = FaultInjector(Environment(), plan, RngRegistry(seed=3))
         seen = self.sampled(faults)
-        assert faults.stats.meter_outages > 0 and faults.stats.meter_samples_dropped > 0
+        assert faults.stats["meter_outages"] > 0 and faults.stats["meter_samples_dropped"] > 0
         # a fresh injector on the same seed replays the same decisions
-        replay = FaultInjector(plan, RngRegistry(seed=3))
+        replay = FaultInjector(Environment(), plan, RngRegistry(seed=3))
         period = 1.0 / AmoebaConfig().meter_qps
         for i, name in enumerate(AXIS_METERS):
             offset = (i / len(AXIS_METERS)) * period

@@ -1,15 +1,20 @@
 """FaultPlan: validation, scaling, the provably-inert zero plan."""
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
 from repro.faults import FaultPlan
 
 
+def _probs(plan):
+    """Every fault probability of ``plan``, by field name."""
+    return {f.name: getattr(plan, f.name) for f in fields(plan) if f.name.endswith("_prob")}
+
+
 class TestValidation:
     def test_defaults_are_inert(self):
-        assert not FaultPlan().any_faults
+        assert set(_probs(FaultPlan()).values()) == {0.0}
 
     def test_probability_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -43,7 +48,7 @@ class TestScaling:
 
     def test_scaled_zero_is_inert(self):
         plan = FaultPlan(container_crash_prob=0.5, vm_boot_failure_prob=0.5)
-        assert not plan.scaled(0.0).any_faults
+        assert set(_probs(plan.scaled(0.0)).values()) == {0.0}
 
     def test_scaled_leaves_degradation_policy_unchanged(self):
         plan = FaultPlan(
@@ -62,10 +67,6 @@ class TestScaling:
 class TestPreemptionFields:
     def test_zero_preemption_is_inert(self):
         assert FaultPlan(vm_preemption_prob=0.0).vm_preemption_prob == 0.0
-        assert not FaultPlan(vm_preemption_prob=0.0).any_faults
-
-    def test_preemption_prob_counts_as_a_fault(self):
-        assert FaultPlan(vm_preemption_prob=0.2).any_faults
 
     def test_preemption_prob_scales(self):
         plan = FaultPlan(vm_preemption_prob=0.4, preemption_check_interval_s=15.0)
@@ -79,10 +80,3 @@ class TestPreemptionFields:
             FaultPlan(vm_preemption_prob=1.5)
         with pytest.raises(ValueError):
             FaultPlan(preemption_check_interval_s=-1.0)
-
-
-def test_describe_lists_only_active_rates():
-    assert FaultPlan().describe() == "faults(none)"
-    text = FaultPlan(container_crash_prob=0.25).describe()
-    assert "container_crash_prob=0.25" in text
-    assert "vm_boot" not in text

@@ -14,7 +14,7 @@ from repro.workloads.functionbench import benchmark
 def make_service(plan=None, seed=6):
     env = Environment()
     rng = RngRegistry(seed=seed)
-    faults = FaultInjector(plan, rng) if plan is not None else None
+    faults = FaultInjector(env, plan, rng) if plan is not None else None
     spec = benchmark("float")
     metrics = ServiceMetrics("float", spec.qos_target)
     svc = IaaSService(
@@ -49,7 +49,7 @@ class TestBootFaults:
         assert failures and isinstance(failures[0], VMBootFailed)
         assert svc.state is ServiceState.STOPPED
         assert svc.boot_ready is None
-        assert faults.stats.vm_boots_abandoned == 1
+        assert faults.stats["vm_boots_abandoned"] == 1
         # the rollback leaves the service deployable again
         script(faults, "vm_boot_fails", [False])
         ready2 = svc.deploy()

@@ -22,7 +22,7 @@ def make_spot_service(
 ):
     env = Environment()
     rng = RngRegistry(seed=seed)
-    faults = FaultInjector(plan, rng) if plan is not None else None
+    faults = FaultInjector(env, plan, rng) if plan is not None else None
     spec = benchmark(name)
     metrics = ServiceMetrics(name, spec.qos_target)
     svc = IaaSService(
@@ -95,7 +95,7 @@ class TestZeroProbIsInert:
         drive(env, svc, ready, 50)
         env.run(until=600.0)
         assert not svc.preempted
-        assert metrics.preemptions.total == 0
+        assert metrics.preemptions.records == []
 
     def test_spot_rental_with_zero_prob_is_bit_identical_to_on_demand(self):
         def run(spot, plan):
@@ -125,6 +125,12 @@ class TestGracefulReclamation:
         assert metrics.preemptions["drained"] == 1
         assert metrics.preemptions["killed_inflight"] == 0
         assert metrics.preemptions["replaced"] == 1
+        kinds = [(kind, where) for _t, kind, where in metrics.preemptions.records]
+        assert kinds == [("noticed", "float"), ("replaced", "float"), ("drained", "float")]
+        notice_t = metrics.preemptions.records[0][0]
+        # the share is taken at the deadline, one notice after the warning
+        assert metrics.preemptions.records[2][0] == notice_t + 120.0
+        assert notice_t < metrics.preemptions.records[1][0] <= notice_t + 120.0
         assert metrics.drops.get("preempted", 0) == 0
         assert metrics.failed == 0
         # conservation: everything submitted either completed or is in flight
@@ -280,7 +286,7 @@ class TestDeterminism:
             drive(env, svc, ready, 300, gap=0.5)
             env.run(until=600.0)
             return (
-                dict(metrics.preemptions),
+                list(metrics.preemptions.records),
                 [x.hex() for x in metrics.latencies.values()],
             )
 

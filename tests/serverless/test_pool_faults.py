@@ -16,7 +16,7 @@ QIDS = itertools.count()
 def make_platform(plan, seed=5):
     env = Environment()
     rng = RngRegistry(seed=seed)
-    faults = FaultInjector(plan, rng)
+    faults = FaultInjector(env, plan, rng)
     platform = ServerlessPlatform(env, rng, faults=faults)
     return env, platform, faults
 
@@ -62,7 +62,7 @@ class TestColdStartFaults:
         env.run(until=60.0)
         # the prewarm ack still resolves (with None from the dead pledge)
         assert ack.processed
-        assert faults.stats.cold_starts_abandoned >= 1
+        assert faults.stats["cold_starts_abandoned"] >= 1
         fs = platform.pool.state("float")
         assert fs.n_init == 0
         assert platform.warm_count("float") == 0
@@ -81,8 +81,8 @@ class TestCrashFaults:
         assert metrics.retries["attempted"] == 1
         assert metrics.retries.total == 1
         assert metrics.completed == 1
-        assert faults.stats.query_retries == 1
-        assert faults.stats.queries_dropped == 0
+        assert faults.stats["query_retries"] == 1
+        assert faults.stats["queries_dropped"] == 0
 
     def test_retry_budget_exhausted_drops_the_query(self):
         plan = FaultPlan(container_crash_prob=1.0, max_query_retries=1)
@@ -97,7 +97,7 @@ class TestCrashFaults:
         assert metrics.failed == 1
         assert metrics.completed == 0  # drops never pollute the latency ledgers
         assert metrics.violation_fraction_with_failures == 1.0
-        assert faults.stats.queries_dropped == 1
+        assert faults.stats["queries_dropped"] == 1
         fs = platform.pool.state("float")
         assert fs.n_busy == 0
 
@@ -126,7 +126,7 @@ class TestPoolFaultDeterminism:
     def test_same_seed_reproduces_fault_sequence(self):
         m1, s1 = self._run(seed=9)
         m2, s2 = self._run(seed=9)
-        assert s1.as_dict() == s2.as_dict()
+        assert s1.records == s2.records
         assert s1.total_injected > 0
         lat1 = [x.hex() for x in m1.latencies.values()]
         lat2 = [x.hex() for x in m2.latencies.values()]

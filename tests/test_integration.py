@@ -188,7 +188,7 @@ def _history(result, name="matmul"):
         "brownout": None if ov is None else sum(d.brownout for d in decisions),
         "surge": None if ov is None else sum(d.surge for d in decisions),
         "breaker": breaker,
-        "faults": None if faults is None else dict(faults.injected),
+        "faults": None if faults is None else dict(faults),
         "total_injected": None if faults is None else faults.total_injected,
         "preemptions": dict(fg.metrics.preemptions),
     }

@@ -29,7 +29,7 @@ KEEP = {  # reason -> names kept without a reader in src/benchmarks/examples
     "simlint's per-file entry point, driven by its rule tests": ("lint_file",),
     "the tests' run_with_step_budget steps the kernel to catch livelocks": ("step", "peek"),
     "accessors and helpers that unit tests pin": (
-        "any_faults", "container_memory_in_use", "critical_path_cost", "current_cores",
+        "container_memory_in_use", "critical_path_cost", "current_cores",
         "current_memory_mb", "describe", "feedback_count", "memory_in_use_mb",
         "predicted_sojourn", "refit_count", "registered", "sinks", "slowdown_for",
         "warm_count", "with_scale",

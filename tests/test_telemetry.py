@@ -122,9 +122,10 @@ class TestCounterFamilies:
     def test_families_read_like_dicts(self):
         m = ServiceMetrics("s", qos_target=1.0)
         drop_query(make_query(1.0), "shed", 1.0, "serverless", m, None)
-        m.preemptions.add("noticed")
+        m.preemptions.add(2.0, "noticed", "s")
         assert m.drops["shed"] == 1 and m.failed == 1
         assert dict(m.preemptions) == {"noticed": 1, "drained": 0, "killed_inflight": 0, "replaced": 0}
+        assert m.preemptions.records == [(2.0, "noticed", "s")]
         assert sum(count for _, count in m.retries.items()) == m.retries.total == 0
 
     def test_unknown_keys_are_rejected(self):
@@ -134,7 +135,7 @@ class TestCounterFamilies:
         with pytest.raises(ValueError, match="retry kind"):
             m.retries.add("bogus")
         with pytest.raises(ValueError, match="preemption kind"):
-            m.preemptions.add("bogus")
+            m.preemptions.add(1.0, "bogus", "s")
         assert m.failed == 0
 
     def test_families_add_key_by_key(self):
